@@ -18,7 +18,6 @@ A full run configuration can also be supplied as a JSON document via
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import sys
@@ -28,13 +27,15 @@ from typing import IO, List, Optional, Sequence, Union
 import numpy as np
 
 from .certify import ProblemConstants, full_certificate
-from .core import NumericFailure, QviProblem, ValidationError, as_vector, format_float
+from .core import NumericFailure, ValidationError, as_vector, format_float
 from .dynamics import AlphaSchedule, FlowConfig, flow_to_csv, integrate
 from .problems import load_problem
 from .solvers import (
     STATUS_NUMERIC_FAILURE,
     VARIANTS,
     SolverConfig,
+    comment_meta,
+    read_csv,
     solve,
     trace_to_csv,
     write_lines,
@@ -53,7 +54,9 @@ def _parse_x0(spec: str, dim: int) -> np.ndarray:
     if spec == "zeros":
         return np.zeros(dim)
     if spec == "geometric":
-        return 0.5 / 3.0 ** np.arange(dim)
+        # 3**k overflows to inf for k > 646, which gives the intended 0.0
+        with np.errstate(over="ignore"):
+            return 0.5 / 3.0 ** np.arange(dim)
     try:
         values = [float(v) for v in spec.split(",")]
     except ValueError as exc:
@@ -99,21 +102,20 @@ def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
     return AlphaSchedule(tuple(times), tuple(values))
 
 
-def _load_problem_arg(spec: str) -> QviProblem:
-    if spec.lstrip().startswith("{"):
-        try:
-            doc = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"problem: {exc}") from None
-        return load_problem(doc)
-    return load_problem(spec)
+def _cell(v) -> str:
+    """One CSV cell: empty for None and non-finite floats, lower-case flags."""
+    if v is None or (isinstance(v, float) and not np.isfinite(v)):
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (int, float)):
+        return format_float(v)
+    return str(v)
 
 
-def _emit(out_path: Optional[str], lines: List[str]) -> None:
-    if out_path is None:
-        write_lines(sys.stdout, lines)
-    else:
-        write_lines(out_path, lines)
+def _out(args) -> Union[str, IO[str]]:
+    """Where a command writes: the --output path, else stdout."""
+    return sys.stdout if args.output is None else args.output
 
 
 # --------------------------------------------------------------------------
@@ -126,44 +128,34 @@ def cmd_certify(args) -> int:
     cert = full_certificate(constants)
     doc = cert.to_dict()
     if args.format == "json":
-        _emit(args.output, [json.dumps(doc, indent=2)])
+        write_lines(_out(args), [json.dumps(doc, indent=2)])
     else:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return str(v).lower()
-            return format_float(v)
-        _emit(args.output, [",".join(doc), ",".join(cell(v) for v in doc.values())])
+        write_lines(_out(args), [",".join(doc), ",".join(_cell(v) for v in doc.values())])
     return 0
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem_arg(args.problem)
+    problem = load_problem(args.problem)
     x0 = _parse_x0(args.x0, problem.dim)
     config = SolverConfig(lam=args.lam, max_iter=args.max_iter,
                           tol=args.tol, variant=args.variant)
     trace = solve(problem, x0, config)
-    buf = io.StringIO()
-    trace_to_csv(trace, buf)
-    _emit(args.output, buf.getvalue().splitlines())
+    trace_to_csv(trace, _out(args))
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 
 
 def cmd_flow(args) -> int:
-    problem = _load_problem_arg(args.problem)
+    problem = load_problem(args.problem)
     x0 = _parse_x0(args.x0, problem.dim)
     config = FlowConfig(lam=args.lam, h=args.h, t_end=args.t_end,
                         scheme=args.scheme, alpha=_parse_alpha(args.alpha))
     trace = integrate(problem, x0, config)
-    buf = io.StringIO()
-    flow_to_csv(trace, buf, include_coords=args.coords)
-    _emit(args.output, buf.getvalue().splitlines())
+    flow_to_csv(trace, _out(args), include_coords=args.coords)
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 
 
 def cmd_compare(args) -> int:
-    problem = _load_problem_arg(args.problem)
+    problem = load_problem(args.problem)
     x0 = _parse_x0(args.x0, problem.dim)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
@@ -184,7 +176,7 @@ def cmd_compare(args) -> int:
         for r in trace.records:
             dist = "" if r.dist_to_solution is None else format_float(r.dist_to_solution)
             lines.append(f"{trace.variant},{r.k},{format_float(r.residual)},{dist}")
-    _emit(args.output, lines)
+    write_lines(_out(args), lines)
     return 0
 
 
@@ -213,7 +205,7 @@ def cmd_sweep(args) -> int:
     if beta_grid is None:
         beta_grid = [args.beta]  # may be [None]
 
-    problem = _load_problem_arg(args.problem) if args.problem else None
+    problem = load_problem(args.problem) if args.problem else None
     x0 = None
     if problem is not None:
         x0 = _parse_x0(args.x0, problem.dim)
@@ -256,45 +248,18 @@ def cmd_sweep(args) -> int:
         columns.append("empirical_rate")
     columns.append("status")
     lines.append(",".join(columns))
-
-    def cell(row, name):
-        v = row.get(name)
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return str(v).lower()
-        if isinstance(v, float) and not np.isfinite(v):
-            return ""
-        if isinstance(v, (int, float)):
-            return format_float(v)
-        return str(v)
-
     for row in rows:
-        lines.append(",".join(cell(row, name) for name in columns))
-    _emit(args.output, lines)
+        lines.append(",".join(_cell(row.get(name)) for name in columns))
+    write_lines(_out(args), lines)
     return 0
 
 
 def read_compare_csv(source: Union[str, Path, IO[str]]) -> dict:
     """Parse a compare CSV into {variant: {k, residual, dist_to_solution}}."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    meta = {}
+    comments, _, rows = read_csv(source)
     per_variant: dict = {}
-    header_seen = False
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        variant, k, residual, dist = line.split(",")
+    for row in rows:
+        variant, k, residual, dist = row.split(",")
         bucket = per_variant.setdefault(
             variant, {"k": [], "residual": [], "dist_to_solution": []})
         bucket["k"].append(int(k))
@@ -304,30 +269,16 @@ def read_compare_csv(source: Union[str, Path, IO[str]]) -> dict:
         bucket["k"] = np.array(bucket["k"], dtype=int)
         bucket["residual"] = np.array(bucket["residual"])
         bucket["dist_to_solution"] = np.array(bucket["dist_to_solution"])
-    return {"meta": meta, "variants": per_variant}
+    return {"meta": comment_meta(comments), "variants": per_variant}
 
 
 def read_sweep_csv(source: Union[str, Path, IO[str]]) -> dict:
     """Parse a sweep CSV into comment metadata plus a list of row dicts."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    comments = []
-    header: Optional[List[str]] = None
+    comments, header, lines = read_csv(source)
     rows = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        cells = line.split(",")
+    for line in lines:
         row = {}
-        for name, value in zip(header, cells):
+        for name, value in zip(header, line.split(",")):
             if value == "":
                 row[name] = None
             elif value in ("true", "false"):

@@ -4,7 +4,7 @@ A problem couples an operator oracle F (with declared Lipschitz and strong
 monotonicity constants) to a parametric projection oracle (x, z) -> P_{K(x)}(z)
 (with a declared parametric Lipschitz constant). Everything downstream --
 residuals, the Tseng vector field, the discrete schemes -- is built from these
-two oracles.
+two oracles through one step kernel: `forward_backward` plus `UPDATES`.
 
 All vectors are dense 1-D float64 arrays. Problems and oracles are immutable
 after construction and safe to share across workers; every operation here is a
@@ -32,14 +32,17 @@ class NumericFailure(ArithmeticError):
 
 def as_vector(values, dim: Optional[int] = None, name: str = "x") -> Array:
     """Coerce to a finite 1-D float64 array, optionally checking the dimension."""
-    v = np.asarray(values, dtype=float)
+    try:
+        v = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
     if v.ndim != 1:
         raise ValidationError(f"{name}: expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValidationError(
             f"{name}: dimension mismatch (expected {dim}, got {v.shape[0]})"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError(f"{name}: entries must be finite (no NaN/Inf)")
     return v
 
@@ -68,7 +71,7 @@ def oracle_result(value, dim: int, what: str) -> Array:
     r = np.asarray(value, dtype=float)
     if r.shape != (dim,):
         raise ValidationError(f"{what} returned shape {r.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NumericFailure(f"{what} returned a non-finite value")
     return r
 
@@ -135,8 +138,7 @@ class QviProblem:
 
 def evaluate_operator(problem: QviProblem, x) -> Array:
     """F(x). Deterministic for fixed x; rejects dimension mismatches."""
-    x = as_vector(x, problem.dim)
-    return oracle_result(problem.operator.func(x), problem.dim, "operator oracle")
+    return _operator(problem, as_vector(x, problem.dim))
 
 
 def project(problem: QviProblem, x, z) -> Array:
@@ -150,8 +152,8 @@ def natural_residual(problem: QviProblem, x, lam: float) -> float:
     """||x - P_{K(x)}(x - lam*F(x))||; zero exactly at solutions of the QVI."""
     lam = require_positive(lam, "lambda")
     x = as_vector(x, problem.dim)
-    y = project(problem, x, x - lam * evaluate_operator(problem, x))
-    return norm(x - y)
+    return norm(x - forward_backward(problem, x, lam)[1])
+
 
 def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     """The forward-backward-forward vector field
@@ -162,8 +164,42 @@ def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     operator evaluations; F(x) is reused.
     """
     lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
-    Fx = evaluate_operator(problem, x)
-    y = project(problem, x, x - lam * Fx)
-    Fy = evaluate_operator(problem, y)
-    return y + lam * (Fx - Fy) - x
+    return tseng_field(problem, as_vector(x, problem.dim), lam)
+
+
+# the step kernel: callers validate x and lam once, at entry; the kernel checks
+# every array that crosses an oracle boundary
+
+def _operator(problem: QviProblem, x: Array) -> Array:
+    return oracle_result(problem.operator.func(x), problem.dim, "operator oracle")
+
+
+def _project_step(problem: QviProblem, x: Array, v: Array, lam: float) -> Array:
+    """P_{K(x)}(x - lam*v). The argument is checked because it is the one array
+    computed here that can overflow from finite, checked inputs."""
+    z = x - lam * v
+    if not np.isfinite(z).all():
+        raise NumericFailure("projection argument x - lambda*v is not finite")
+    return oracle_result(problem.constraint.project(x, z), problem.dim, "projection oracle")
+
+
+def forward_backward(problem: QviProblem, x: Array, lam: float):
+    """(F(x), y) with y = P_{K(x)}(x - lam*F(x)): one operator evaluation and
+    one projection. x must be a finite float vector of the problem's dimension."""
+    Fx = _operator(problem, x)
+    return Fx, _project_step(problem, x, Fx, lam)
+
+
+#: variant -> update(problem, x, F(x), y, lam) -> next iterate, given
+#: (F(x), y) from `forward_backward`
+UPDATES = {
+    "tseng": lambda p, x, Fx, y, lam: y + lam * (Fx - _operator(p, y)),
+    "gradient_projection": lambda p, x, Fx, y, lam: y,
+    "extragradient": lambda p, x, Fx, y, lam: _project_step(p, x, _operator(p, y), lam),
+}
+
+
+def tseng_field(problem: QviProblem, x: Array, lam: float) -> Array:
+    """`tseng_map` for an already validated x and lam."""
+    Fx, y = forward_backward(problem, x, lam)
+    return UPDATES["tseng"](problem, x, Fx, y, lam) - x

@@ -16,7 +16,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Sequence, Tuple, Union
+from typing import IO, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .core import (
     as_vector,
     format_float,
     require_positive,
+    tseng_field,
     tseng_map,
 )
-from .solvers import DIVERGENCE_LIMIT, write_lines
+from .solvers import DIVERGENCE_LIMIT, comment_meta, read_csv, write_lines
 
 SCHEMES = ("euler", "rk4")
 
@@ -121,9 +122,7 @@ def rhs(problem: QviProblem, x, lam: float, t: float = 0.0,
         alpha: Optional[AlphaSchedule] = None) -> Array:
     """alpha(t) * f(x) with f the Tseng-type vector field; alpha omitted means 1."""
     v = tseng_map(problem, x, lam)
-    if alpha is None:
-        return v
-    return alpha(t) * v
+    return v if alpha is None else alpha(t) * v
 
 
 def integrate(problem: QviProblem, x0, config: FlowConfig) -> FlowTrace:
@@ -134,23 +133,10 @@ def integrate(problem: QviProblem, x0, config: FlowConfig) -> FlowTrace:
     h, lam, alpha = config.h, config.lam, config.alpha
     nsteps = max(1, int(round(config.t_end / h)))
 
-    # raw closure for the hot loop; inputs were validated above and every step
-    # result is guarded below, so the per-call checks of `rhs` are redundant
-    func = problem.operator.func
-    proj = problem.constraint.project
+    def f(t, xv):
+        v = tseng_field(problem, xv, lam)
+        return v if alpha is None else alpha(t) * v
 
-    def field(xv):
-        Fx = np.asarray(func(xv), dtype=float)
-        y = np.asarray(proj(xv, xv - lam * Fx), dtype=float)
-        Fy = np.asarray(func(y), dtype=float)
-        return y + lam * (Fx - Fy) - xv
-
-    if alpha is None:
-        f = lambda t, xv: field(xv)  # noqa: E731
-    else:
-        f = lambda t, xv: alpha(t) * field(xv)  # noqa: E731
-
-    shape = x.shape
     ts = [0.0]
     xs = [x]
     status = "completed"
@@ -165,9 +151,6 @@ def integrate(problem: QviProblem, x0, config: FlowConfig) -> FlowTrace:
                 k3 = f(t + h / 2.0, x + (h / 2.0) * k2)
                 k4 = f(t + h, x + h * k3)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if x.shape != shape:
-                raise ValidationError(
-                    f"vector field produced shape {x.shape}, expected {shape}")
             if not np.linalg.norm(x) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
                 status = "numeric_failure"
                 break
@@ -226,25 +209,10 @@ def flow_to_csv(trace: FlowTrace, out: Union[str, Path, IO[str]],
 
 
 def read_flow_csv(source: Union[str, Path, IO[str]]) -> dict:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    meta = {}
-    header: Optional[Sequence[str]] = None
-    rows = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append([np.nan if cell == "" else float(cell) for cell in line.split(",")])
-    data = np.array(rows) if rows else np.empty((0, len(header or [])))
+    comments, header, rows = read_csv(source)
+    meta = comment_meta(comments)
+    data = (np.array([[np.nan if c == "" else float(c) for c in row.split(",")] for row in rows])
+            if rows else np.empty((0, len(header or []))))
     out = {
         "status": meta.get("status"),
         "Lambda": float(meta["Lambda"]) if "Lambda" in meta else None,

@@ -15,6 +15,7 @@ Problem descriptors can also be loaded from JSON; see `load_problem`.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -28,7 +29,6 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
-    oracle_result,
 )
 
 
@@ -138,11 +138,17 @@ class MovingSetSpec:
 
 
 def moving_set_project(spec: MovingSetSpec, x, z) -> Array:
-    """P_{shift(x)+K}(z) = shift(x) + P_K(z - shift(x)) (translation identity)."""
-    x = as_vector(x, name="x")
-    z = as_vector(z, dim=x.shape[0], name="z")
-    m = oracle_result(spec.shift(x), x.shape[0], "shift oracle")
-    return m + oracle_result(spec.base_projection(z - m), x.shape[0], "base projection")
+    """P_{shift(x)+K}(z) = shift(x) + P_K(z - shift(x)) (translation identity).
+
+    The caller checks the result; shapes are checked here, because a scalar
+    from either oracle would broadcast into a result of the right shape."""
+    m = np.asarray(spec.shift(x), dtype=float)
+    if m.shape != np.shape(x):
+        raise ValidationError(f"shift oracle returned shape {m.shape}, expected {np.shape(x)}")
+    p = np.asarray(spec.base_projection(z - m), dtype=float)
+    if p.shape != m.shape:
+        raise ValidationError(f"base projection returned shape {p.shape}, expected {m.shape}")
+    return m + p
 
 
 def make_moving_set_problem(
@@ -302,29 +308,55 @@ def default_problem_suite() -> list[QviProblem]:
 # JSON problem descriptors
 # --------------------------------------------------------------------------
 
-def _set_from_descriptor(n: int, d: dict):
+def _number(d: dict, key: str, default, integer: bool = False, where: str = ""):
+    """d[key] as a finite float (an int when integer), or default when the key
+    is absent or null; anything else, a bool too, is a ValidationError."""
+    value = d.get(key)
+    if value is None:
+        return default
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        kind = "an integer" if integer else "a finite number"
+        raise ValidationError(f"{where}{key} must be {kind}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _array(d: dict, key: str, default, shape=None, where: str = "") -> Array:
+    """d[key] (default when absent or null) as a float array, broadcast to
+    shape when one is given; a ValidationError names the field otherwise."""
+    value = d.get(key)
+    try:
+        a = np.asarray(default if value is None else value, dtype=float)
+        return a if shape is None else np.broadcast_to(a, shape).copy()
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}{key}: {exc}") from None
+
+
+def _set_from_descriptor(n: int, doc: dict, key: str):
+    d = doc.get(key) or {}
+    if not isinstance(d, dict):
+        raise ValidationError(f"{key} must be an object, got {d!r}")
+    where = key + "."
     kind = d.get("type")
     if kind == "box":
-        return BoxSet.from_bounds(n, d.get("lo"), d.get("hi"))
+        return BoxSet(_array(d, "lo", -np.inf, (n,), where), _array(d, "hi", np.inf, (n,), where))
     if kind == "ball":
-        center = d.get("center", 0.0)
-        center = np.broadcast_to(np.asarray(center, float), (n,)).copy()
-        return BallSet(center, float(d.get("radius", 1.0)))
-    raise ValidationError(f"set.type must be 'box' or 'ball', got {kind!r}")
+        return BallSet(_array(d, "center", 0.0, (n,), where), _number(d, "radius", 1.0, where=where))
+    raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
 
 
 def _operator_from_descriptor(n: int, d) -> OperatorSpec:
     if d is None or d == "identity":
         return OperatorSpec(AffineMap(np.eye(n), np.zeros(n)), 1.0, 1.0)
-    matrix = d.get("matrix")
-    matrix = np.eye(n) if matrix is None else np.asarray(matrix, dtype=float)
-    offset = d.get("offset")
-    offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
-    amap = AffineMap(matrix, offset)
+    if not isinstance(d, dict):
+        raise ValidationError(f"operator must be 'identity' or an object, got {d!r}")
+    where = "operator."
+    matrix = _array(d, "matrix", np.eye(n), where=where)
+    amap = AffineMap(matrix, _array(d, "offset", np.zeros(n), where=where))
     if matrix.shape != (n, n):
         raise ValidationError(f"operator.matrix must be {n}x{n}, got {matrix.shape}")
-    L = d.get("L")
-    rho = d.get("rho")
+    L = _number(d, "L", None, where=where)
+    rho = _number(d, "rho", None, where=where)
     if L is None:
         L = float(np.linalg.svd(matrix, compute_uv=False)[0])
     if rho is None:
@@ -340,7 +372,8 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     """Build a QviProblem from a JSON descriptor (dict, JSON text, or a path).
 
     Schema: {"family": "l2_example" | "affine" | "moving_set" | "single_set_vi",
-    plus family parameters}; see the README for the exact fields.
+    plus family parameters}; see the README for the exact fields. Text that
+    starts with '{' is parsed as inline JSON, anything else as a path.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -353,24 +386,26 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"problem: invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValidationError(f"problem: expected a JSON object, got {type(doc).__name__}")
     else:
         doc = dict(source)
 
     family = doc.get("family")
-    n = doc.get("n")
-    if not (isinstance(n, int) and n >= 1):
+    n = _number(doc, "n", None, integer=True)
+    if n is None or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
 
     if family == "l2_example":
-        return make_l2_example(n, float(doc.get("alpha", 2.0)))
+        return make_l2_example(n, _number(doc, "alpha", 2.0))
 
     if family == "affine":
         return make_affine_qvi(
             n,
-            seed=int(doc.get("seed", 0)),
-            rho_target=float(doc.get("rho", 1.0)),
-            L_target=float(doc.get("L", 1.0)),
-            beta=float(doc.get("beta", 0.0)),
+            seed=_number(doc, "seed", 0, integer=True),
+            rho_target=_number(doc, "rho", 1.0),
+            L_target=_number(doc, "L", 1.0),
+            beta=_number(doc, "beta", 0.0),
         )
 
     known = doc.get("known_solution")
@@ -378,12 +413,10 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
         known = as_vector(known, n, name="known_solution")
 
     if family == "moving_set":
-        base = _set_from_descriptor(n, doc.get("base_set") or {})
-        scale = float(doc.get("shift_scale", 0.0))
-        offset = doc.get("shift_offset", 0.0)
-        offset = np.broadcast_to(np.asarray(offset, float), (n,)).copy()
+        base = _set_from_descriptor(n, doc, "base_set")
+        scale = _number(doc, "shift_scale", 0.0)
         spec = MovingSetSpec(
-            shift=AffineMap(scale * np.eye(n), offset),
+            shift=AffineMap(scale * np.eye(n), _array(doc, "shift_offset", 0.0, (n,))),
             shift_lipschitz=abs(scale),
             base_projection=base.project,
         )
@@ -392,7 +425,7 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
                                        name=f"moving_set(n={n}, scale={scale})")
 
     if family == "single_set_vi":
-        base = _set_from_descriptor(n, doc.get("set") or {})
+        base = _set_from_descriptor(n, doc, "set")
         op = _operator_from_descriptor(n, doc.get("operator"))
         return make_single_set_problem(n, op, base.project, known_solution=known,
                                        name=f"single_set_vi(n={n})")

@@ -23,21 +23,21 @@ import numpy as np
 
 from . import certify
 from .core import (
+    UPDATES,
     Array,
     NumericFailure,
     QviProblem,
     ValidationError,
     as_vector,
-    evaluate_operator,
     format_float,
+    forward_backward,
     norm,
-    project,
     require_positive,
 )
 
 logger = logging.getLogger(__name__)
 
-VARIANTS = ("tseng", "gradient_projection", "extragradient")
+VARIANTS = tuple(UPDATES)
 
 #: iterates with norm beyond this abort with numeric_failure
 DIVERGENCE_LIMIT = 1e12
@@ -100,33 +100,30 @@ class IterationTrace:
         ])
 
 
+def _step(variant: str, problem: QviProblem, x, lam: float):
+    lam = require_positive(lam, "lambda")
+    x = as_vector(x, problem.dim)
+    Fx, y = forward_backward(problem, x, lam)
+    return y, UPDATES[variant](problem, x, Fx, y, lam)
+
+
 def tseng_step(problem: QviProblem, x, lam: float):
     """One forward-backward-forward step; returns (y, x_next).
 
     Exactly one projection and two operator evaluations.
     """
-    lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
-    Fx = evaluate_operator(problem, x)
-    y = project(problem, x, x - lam * Fx)
-    Fy = evaluate_operator(problem, y)
-    return y, y + lam * (Fx - Fy)
+    return _step("tseng", problem, x, lam)
 
 
 def gradient_projection_step(problem: QviProblem, x, lam: float) -> Array:
     """x -> P_{K(x)}(x - lam*F(x)): one projection, one operator evaluation."""
-    lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
-    return project(problem, x, x - lam * evaluate_operator(problem, x))
+    return _step("gradient_projection", problem, x, lam)[1]
 
 
 def extragradient_step(problem: QviProblem, x, lam: float) -> Array:
     """y = P_{K(x)}(x - lam*F(x)); x -> P_{K(x)}(x - lam*F(y)):
     two projections, two operator evaluations."""
-    lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
-    y = project(problem, x, x - lam * evaluate_operator(problem, x))
-    return project(problem, x, x - lam * evaluate_operator(problem, y))
+    return _step("extragradient", problem, x, lam)[1]
 
 
 def _empirical_rate(records: List[IterationRecord], use_dist: bool) -> Optional[float]:
@@ -166,12 +163,12 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
         )
     xstar = problem.known_solution
     lam = config.lam
+    update = UPDATES[config.variant]
     records: List[IterationRecord] = []
     status = STATUS_MAX_ITER
     try:
         for k in range(config.max_iter + 1):
-            Fx = evaluate_operator(problem, x)
-            y = project(problem, x, x - lam * Fx)
+            Fx, y = forward_backward(problem, x, lam)
             residual = norm(x - y)
             dist = norm(x - xstar) if xstar is not None else None
             records.append(IterationRecord(k, x, y, residual, dist))
@@ -180,12 +177,7 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
                 break
             if k == config.max_iter:
                 break
-            if config.variant == "tseng":
-                x = y + lam * (Fx - evaluate_operator(problem, y))
-            elif config.variant == "gradient_projection":
-                x = y
-            else:
-                x = project(problem, x, x - lam * evaluate_operator(problem, y))
+            x = update(problem, x, Fx, y, lam)
             if not norm(x) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
                 status = STATUS_NUMERIC_FAILURE
                 break
@@ -225,26 +217,41 @@ def trace_to_csv(trace: IterationTrace, out: Union[str, Path, IO[str]]) -> None:
     write_lines(out, lines)
 
 
-def read_trace_csv(source: Union[str, Path, IO[str]]) -> dict:
-    """Parse a trace CSV back into plain arrays plus its comment metadata."""
+def read_csv(source: Union[str, Path, IO[str]]):
+    """Split a CSV written by this package into (comments, header, rows): the
+    stripped text of each '#' line, the first other line split on commas (None
+    when absent) and every later line, unsplit. Empty lines are skipped."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    meta = {}
-    ks, residuals, dists = [], [], []
-    header_seen = False
+    comments: List[str] = []
+    header: Optional[List[str]] = None
+    rows: List[str] = []
     for line in text.splitlines():
         if not line:
             continue
         if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        k, residual, dist = line.split(",")
+            comments.append(line[1:].strip())
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line)
+    return comments, header, rows
+
+
+def comment_meta(comments: List[str]) -> dict:
+    """'key: value' comment lines as a dict (a later key wins)."""
+    return {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
+
+
+def read_trace_csv(source: Union[str, Path, IO[str]]) -> dict:
+    """Parse a trace CSV back into plain arrays plus its comment metadata."""
+    comments, _, rows = read_csv(source)
+    meta = comment_meta(comments)
+    ks, residuals, dists = [], [], []
+    for row in rows:
+        k, residual, dist = row.split(",")
         ks.append(int(k))
         residuals.append(float(residual))
         dists.append(np.nan if dist == "" else float(dist))

@@ -1,8 +1,10 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
-from qvisolve import FlowConfig, integrate, make_halfline_vi, make_l2_example
+from qvisolve import make_halfline_vi, make_l2_example
 from qvisolve.problems import default_problem_suite
 
 hypothesis.settings.register_profile(
@@ -32,10 +34,13 @@ def geometric_x0():
 
 
 @pytest.fixture(scope="session")
-def halfline_reference_endpoint(halfline):
-    """Endpoint of the h=1e-5 RK4 reference run on the half-line VI
-    (lambda=0.1, x0=2, t_end=5); shared by the order-of-convergence checks."""
-    trace = integrate(halfline, [2.0],
-                      FlowConfig(lam=0.1, h=1e-5, t_end=5.0, scheme="rk4"))
-    assert trace.status == "completed"
-    return float(trace.x[-1][0])
+def halfline_reference_endpoint():
+    """Exact endpoint x(5) of the half-line flow (lambda=0.1, x0=2), shared by
+    the order-of-convergence checks.
+
+    With F(x) = x and K = [1, inf), y = max(1, 0.9x). While x >= 10/9,
+    y = 0.9x and the field is 0.9x + 0.1(x - 0.9x) - x = -0.09x, so
+    x(t) = 2 exp(-0.09 t). That path decreases from 2 to 2 exp(-0.45) ~ 1.275
+    at t = 5 and so never leaves x >= 10/9: the endpoint is 2 exp(-0.45).
+    """
+    return 2.0 * math.exp(-0.45)

@@ -1,12 +1,15 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qvisolve import cli
 from qvisolve.certify import Certificate, ProblemConstants, full_certificate
 from qvisolve.cli import main, read_compare_csv, read_sweep_csv
+from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
 from qvisolve.dynamics import read_flow_csv
 from qvisolve.solvers import read_trace_csv
 
@@ -142,6 +145,42 @@ def test_solve_wrong_x0_length(capsys):
     assert "x0" in err
 
 
+def test_solve_projection_argument_overflow_exit_code(capsys):
+    # F(x) = 1e300*x is finite at x0 = 1, but x - 1e10*F(x) overflows
+    problem = json.dumps({"family": "single_set_vi", "n": 1,
+                          "set": {"type": "box", "lo": -1.0, "hi": 1.0},
+                          "operator": {"matrix": [[1e300]]}})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, _ = run(capsys, ["solve", "--problem", problem, "--x0", "1",
+                                    "--lambda", "1e10"])
+    assert code == 2
+    assert read_trace_csv(io.StringIO(out))["status"] == "numeric_failure"
+
+
+def test_solve_geometric_x0_beyond_float_range(capsys):
+    # 3**k overflows for k > 646; those coordinates are exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run(capsys, [
+            "solve", "--problem", json.dumps({"family": "l2_example", "n": 700}),
+            "--x0", "geometric", "--lambda", "0.1"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("descriptor,field", [
+    ({"family": "l2_example", "n": True}, "n"),
+    ({"family": "l2_example", "n": 3, "alpha": "x"}, "alpha"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "ball", "radius": "r"}},
+     "set.radius"),
+], ids=["bool-n", "string-alpha", "string-radius"])
+def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
+    code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
+                                  "--x0", "zeros", "--lambda", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert field in err
+
+
 # ---------------------------------------------------------------------- flow
 
 def test_flow_csv(capsys, tmp_path):
@@ -173,6 +212,18 @@ def test_flow_validation(capsys):
         "--lambda", "0.1", "--h", "2.0", "--t-end", "1.0"])
     assert code == 1
     assert "t_end" in err
+
+
+def test_flow_rejects_scalar_operator_output(capsys, monkeypatch):
+    problem = QviProblem(OperatorSpec(lambda x: 1.0, 1.0, 1.0),
+                         ConstraintSpec(lambda x, z: z, 0.0), dim=3)
+    monkeypatch.setattr(cli, "load_problem", lambda spec: problem)
+    code, out, err = run(capsys, [
+        "flow", "--problem", "scalar", "--x0", "zeros",
+        "--lambda", "0.1", "--h", "0.1", "--t-end", "1"])
+    assert code == 1
+    assert "operator oracle" in err
+    assert out == ""
 
 
 # ------------------------------------------------------------------- compare

@@ -5,7 +5,10 @@ import pytest
 
 from qvisolve import (
     AlphaSchedule,
+    ConstraintSpec,
     FlowConfig,
+    OperatorSpec,
+    QviProblem,
     SolverConfig,
     ValidationError,
     integrate,
@@ -197,6 +200,13 @@ def test_integrate_divergence_guard(halfline):
     trace = integrate(halfline, [2.0], FlowConfig(lam=1e6, h=10.0, t_end=100.0))
     assert trace.status == "numeric_failure"
     assert len(trace.t) < 11
+
+
+def test_integrate_rejects_scalar_operator_output():
+    problem = QviProblem(OperatorSpec(lambda x: 1.0, 1.0, 1.0),
+                         ConstraintSpec(lambda x, z: z, 0.0), dim=3)
+    with pytest.raises(ValidationError, match="operator oracle"):
+        integrate(problem, np.ones(3), FlowConfig(lam=0.1, h=0.1, t_end=1.0))
 
 
 def test_integrate_matches_solver_trajectory(halfline):

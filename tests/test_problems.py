@@ -131,6 +131,16 @@ def test_moving_set_zero_shift_reduces_to_base():
                        atol=1e-15)
 
 
+def test_moving_set_rejects_scalar_oracle_output():
+    # a scalar would broadcast into a result of the right shape
+    box = BoxSet.from_bounds(2, -1.0, 1.0).project
+    for shift, base in ((lambda x: 0.5, box), (lambda x: np.zeros(3), box),
+                        (lambda x: np.zeros(2), lambda z: 0.5)):
+        spec = MovingSetSpec(shift=shift, shift_lipschitz=0.0, base_projection=base)
+        with pytest.raises(ValidationError, match="shape"):
+            moving_set_project(spec, np.zeros(2), np.ones(2))
+
+
 @given(vec3, vec3, vec3)
 def test_translation_identity_box(x, z, m):
     # shift + P_K(z - shift) equals the direct projection onto the shifted box

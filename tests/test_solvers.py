@@ -251,6 +251,60 @@ def test_solve_nan_oracle_gives_partial_trace():
     assert len(trace.records) >= 1
 
 
+# (variant, oracle, n) -> (status, records) when the n-th call of that oracle
+# returns NaN; with one operator call per x_k and one per y_k, operator call 3
+# is F(x_1) for tseng/extragradient and call 4 is F(y_1); projection call 2 is
+# the projection at k = 1 (the second one at k = 0 for extragradient). Values
+# recorded before the step kernel was shared.
+NAN_ORACLE_OUTCOMES = {
+    ("tseng", "operator", 3): 1,
+    ("tseng", "operator", 4): 2,
+    ("tseng", "projection", 2): 1,
+    ("tseng", "projection", 3): 2,
+    ("gradient_projection", "operator", 3): 2,
+    ("gradient_projection", "operator", 4): 3,
+    ("gradient_projection", "projection", 2): 1,
+    ("gradient_projection", "projection", 3): 2,
+    ("extragradient", "operator", 3): 1,
+    ("extragradient", "operator", 4): 2,
+    ("extragradient", "projection", 2): 1,
+    ("extragradient", "projection", 3): 1,
+}
+
+
+@pytest.mark.parametrize("variant,oracle,nth", list(NAN_ORACLE_OUTCOMES),
+                         ids=[f"{v}-{o}{n}" for v, o, n in NAN_ORACLE_OUTCOMES])
+def test_solve_nan_at_each_oracle_position(variant, oracle, nth):
+    calls = {"operator": 0, "projection": 0}
+
+    def poison(name, out):
+        calls[name] += 1
+        return out * np.nan if name == oracle and calls[name] == nth else out
+
+    problem = QviProblem(
+        operator=OperatorSpec(lambda x: poison("operator", x), 1.0, 1.0),
+        constraint=ConstraintSpec(lambda x, z: poison("projection", np.maximum(z, 1.0)), 0.0),
+        dim=1,
+    )
+    trace = solve(problem, [2.0], SolverConfig(lam=0.1, max_iter=50, tol=1e-14,
+                                               variant=variant))
+    assert trace.status == "numeric_failure"
+    assert len(trace.records) == NAN_ORACLE_OUTCOMES[variant, oracle, nth]
+
+
+def test_solve_projection_argument_overflow():
+    # F(x) = 1e300*x is finite at x = 1, but x - 1e10*F(x) overflows
+    problem = QviProblem(
+        operator=OperatorSpec(lambda x: 1e300 * x, 1.0, 1.0),
+        constraint=ConstraintSpec(lambda x, z: np.clip(z, -1.0, 1.0), 0.0),
+        dim=1,
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        trace = solve(problem, [1.0], SolverConfig(lam=1e10))
+    assert trace.status == "numeric_failure"
+    assert trace.records == []
+
+
 def test_empirical_rate_uses_residuals_without_solution():
     # same moving-box dynamics but with the known solution withheld
     op = OperatorSpec(AffineMap(np.eye(2), np.zeros(2)), 1.0, 1.0)
