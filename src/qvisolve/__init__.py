@@ -20,9 +20,9 @@ from .certify import (
     Certificate,
     ProblemConstants,
     best_lambda,
+    certificate_table,
     existence_bounds,
     full_certificate,
-    theta,
 )
 from .solvers import (
     IterationRecord,

@@ -4,20 +4,22 @@ Every derived quantity is a function of the declared constants (L, rho, l,
 lambda, optionally beta): the contraction modulus theta of the projected step
 map, the continuous-time exponent Lambda, the discrete alignment constant mu
 and squared per-step rate bound r, the two uniqueness bounds on l, and the
-moving-set condition. Certificates report the conditions as data; solvers run
-regardless and only tag their traces when a condition fails, because problems
-routinely converge outside the certified regime.
+moving-set condition. They are written once, in certificate_table, which
+broadcasts over arrays; full_certificate and best_lambda are views of it.
+Certificates report the conditions as data; solvers run regardless and only
+tag their traces when a condition fails, because problems routinely converge
+outside the certified regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import ValidationError
+from .core import QviProblem, ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,14 @@ class ProblemConstants:
             raise ValidationError(f"lambda must be positive and finite, got {self.lam!r}")
         if self.beta is not None and not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValidationError(f"beta must be nonnegative and finite, got {self.beta!r}")
+        if not self.L / self.rho < math.inf:
+            raise ValidationError(f"gamma must be >= 1 and finite, got {self.L / self.rho!r}")
 
-
-_FLOAT_FIELDS = (
-    "gamma", "theta", "radicand", "mu", "Lambda", "rate_r",
-    "existence_bound", "nesterov_bound", "discrete_rhs", "moving_rhs",
-)
-_FLAG_FIELDS = (
-    "existence_ok", "nesterov_ok", "continuous_ok", "discrete_ok",
-    "moving_ok", "radicand_ok",
-)
+    @classmethod
+    def of(cls, problem: QviProblem, lam: float) -> "ProblemConstants":
+        """The constants a problem declares, at step size lam."""
+        return cls(L=problem.operator.lipschitz_L, rho=problem.operator.strong_rho,
+                   l=problem.constraint.lip_l, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -102,86 +102,88 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        kw = {}
-        for name in _FLOAT_FIELDS:
-            v = d[name]
-            if name == "moving_rhs":
-                kw[name] = None if v is None else float(v)
-            else:
-                kw[name] = math.nan if v is None else float(v)
-        for name in _FLAG_FIELDS:
-            kw[name] = bool(d[name])
-        return cls(**kw)
+        values = {name: math.nan if d[name] is None else float(d[name]) for name in _FLOAT_FIELDS}
+        if d["moving_rhs"] is None:
+            values["moving_rhs"] = None
+        return cls(**values, **{name: bool(d[name]) for name in _FLAG_FIELDS})
 
 
-def radicand(c: ProblemConstants) -> float:
-    """1 - 2*lam*rho + lam^2 L^2; equals (1-lam*rho)^2 + lam^2 (L^2 - rho^2) >= 0."""
-    return 1.0 - 2.0 * c.lam * c.rho + (c.lam * c.L) ** 2
+_FLAG_FIELDS = tuple(f.name for f in fields(Certificate) if f.type == "bool")
+_FLOAT_FIELDS = tuple(f.name for f in fields(Certificate) if f.type != "bool")
 
 
-def theta(c: ProblemConstants) -> float:
-    """Contraction modulus l + sqrt(1 - 2*lam*rho + lam^2 L^2) of the
-    projected step map x -> P_{K(x)}(x - lam*F(x))."""
-    rad = radicand(c)
-    if rad < 0.0:
-        raise AssertionError(
-            f"negative radicand {rad!r}: impossible for valid constants (bug)"
-        )
-    return c.l + math.sqrt(rad)
-
-
-def existence_bounds(gamma: float) -> Tuple[float, float]:
+def existence_bounds(gamma):
     """The two upper bounds on l guaranteeing a unique solution, as
-    (strict, relaxed) = (1/(gamma*(gamma + sqrt(gamma^2 - 1))), 1/gamma)."""
-    if not (math.isfinite(gamma) and gamma >= 1.0):
-        raise ValidationError(f"gamma must be >= 1 and finite, got {gamma!r}")
-    strict = 1.0 / (gamma * (gamma + math.sqrt(gamma * gamma - 1.0)))
+    (strict, relaxed) = (1/(gamma*(gamma + sqrt(gamma^2 - 1))), 1/gamma),
+    elementwise over gamma. Every gamma must be >= 1 and finite."""
+    gamma = np.asarray(gamma, dtype=float)
+    ok = (gamma >= 1.0) & (gamma < math.inf)
+    if not ok.all():
+        raise ValidationError(f"gamma must be >= 1 and finite, got {float(gamma[~ok][0])!r}")
+    with np.errstate(over="ignore"):
+        strict = 1.0 / (gamma * (gamma + np.sqrt(gamma * gamma - 1.0)))
     return strict, 1.0 / gamma
 
 
+def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
+    """The PAPER.md constants table, elementwise over arrays of (L, rho, l,
+    lambda, beta) broadcast together: one array per Certificate field, plus
+    f_lipschitz = (1+theta)(1+lam*L), the Lipschitz bound of the flow's field.
+
+    The constants are taken as valid (see ProblemConstants); a NaN beta, the
+    default, means no moving set. A negative radicand gives a NaN theta, which
+    fails every condition. Squares use float_power, which rounds as libm pow
+    (Python's float ** 2) does; x * x can differ in the last bit."""
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+    L, rho, l, lam, beta = (a[()] for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (L, rho, l, lam, beta))))
+    with np.errstate(all="ignore"):
+        gamma = L / rho
+        existence_bound, nesterov_bound = existence_bounds(gamma)
+        lamL = lam * L
+        rad = 1.0 - 2.0 * lam * rho + np.float_power(lamL, 2.0)
+        root = np.sqrt(rad)
+        theta = l + root
+        mu = 0.5 - l * l / 2.0 - theta + l - lamL - lamL * theta
+        product = (1.0 + lamL) * (1.0 + theta)
+        Lam = product - 2.0
+        delta = 4.0 - l * l + 2.0 * l
+        moving_rhs = 2.0 * np.sqrt(1.0 - beta * beta + beta) - 1.0
+        return {
+            "gamma": gamma,
+            "theta": theta,
+            "radicand": rad,
+            "mu": mu,
+            "Lambda": Lam,
+            "rate_r": 1.0 - 2.0 * mu + np.float_power(product, 2.0),
+            "existence_bound": existence_bound,
+            "nesterov_bound": nesterov_bound,
+            "discrete_rhs": np.sqrt(delta) - 1.0,
+            "moving_rhs": moving_rhs,
+            # Lambda + 2, not the product itself: sweep CSVs carry this rounding
+            "f_lipschitz": Lam + 2.0,
+            "existence_ok": l <= existence_bound,
+            "nesterov_ok": l <= nesterov_bound,
+            "continuous_ok": Lam < 0.0,
+            "discrete_ok": np.float_power(product + 1.0, 2.0) < delta,
+            "moving_ok": (1.0 + (2.0 * beta + root)) * (1.0 + lamL) < moving_rhs,
+            "radicand_ok": rad >= 0.0,
+        }
+
+
+def _certificate(table: Dict[str, np.ndarray], i, moving: bool) -> Certificate:
+    """Entry i of a table as plain floats and bools (no moving_rhs unless moving)."""
+    values = {name: float(table[name][i]) for name in _FLOAT_FIELDS}
+    if not moving:
+        values["moving_rhs"] = None
+    return Certificate(**values, **{name: bool(table[name][i]) for name in _FLAG_FIELDS})
+
+
 def full_certificate(c: ProblemConstants) -> Certificate:
-    """Evaluate every derived constant and condition flag for the given
-    constants. moving_rhs/moving_ok are populated only when beta is present."""
-    gamma = c.L / c.rho
-    rad = radicand(c)
-    radicand_ok = rad >= 0.0
-    th = c.l + math.sqrt(rad) if radicand_ok else math.nan
-    lamL = c.lam * c.L
-    mu = 0.5 - c.l * c.l / 2.0 - th + c.l - lamL - lamL * th
-    Lam = (1.0 + lamL) * (1.0 + th) - 2.0
-    rate_r = 1.0 - 2.0 * mu + ((1.0 + th) * (1.0 + lamL)) ** 2
-    existence_bound, nesterov_bound = existence_bounds(gamma)
-    delta = 4.0 - c.l * c.l + 2.0 * c.l
-    discrete_rhs = math.sqrt(delta) - 1.0 if delta >= 0.0 else math.nan
-    discrete_ok = radicand_ok and ((1.0 + th) * (1.0 + lamL) + 1.0) ** 2 < delta
-
-    if c.beta is not None:
-        mv = 1.0 - c.beta * c.beta + c.beta
-        moving_rhs = 2.0 * math.sqrt(mv) - 1.0 if mv >= 0.0 else math.nan
-        th_mv = 2.0 * c.beta + math.sqrt(rad) if radicand_ok else math.nan
-        moving_ok = radicand_ok and (1.0 + th_mv) * (1.0 + lamL) < moving_rhs
-    else:
-        moving_rhs = None
-        moving_ok = False
-
-    return Certificate(
-        gamma=gamma,
-        theta=th,
-        radicand=rad,
-        mu=mu,
-        Lambda=Lam,
-        rate_r=rate_r,
-        existence_bound=existence_bound,
-        nesterov_bound=nesterov_bound,
-        discrete_rhs=discrete_rhs,
-        moving_rhs=moving_rhs,
-        existence_ok=c.l <= existence_bound,
-        nesterov_ok=c.l <= nesterov_bound,
-        continuous_ok=radicand_ok and Lam < 0.0,
-        discrete_ok=discrete_ok,
-        moving_ok=moving_ok,
-        radicand_ok=radicand_ok,
-    )
+    """certificate_table at one constants tuple. moving_rhs/moving_ok are
+    populated only when beta is present."""
+    beta = math.nan if c.beta is None else c.beta
+    return _certificate(certificate_table(c.L, c.rho, c.l, c.lam, beta), (), c.beta is not None)
 
 
 def best_lambda(L: float, rho: float, l: float, grid: int = 1001) -> Tuple[float, Certificate]:
@@ -191,15 +193,18 @@ def best_lambda(L: float, rho: float, l: float, grid: int = 1001) -> Tuple[float
     upper end, `grid` points). r >= 1 for every admissible step size -- see the
     feasibility sweep -- so the minimizer is a principled default step size, not
     a certified linear rate; it is returned together with its certificate.
-    Deterministic for fixed inputs; ties resolve to the smallest lambda.
+    Deterministic for fixed inputs; ties resolve to the smallest lambda, and a
+    NaN rate is never picked unless it is the first.
     """
     if not (isinstance(grid, int) and grid >= 2):
         raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
-    upper = 20.0 * rho / (L * L)
+    ProblemConstants(L=L, rho=rho, l=l, lam=1.0)  # checks L, rho and l; the grid sets lambda
+    upper = 20.0 * rho / (L * L) if L * L > 0.0 else math.inf
+    if not (upper * 1e-6 > 0.0 and upper < math.inf):
+        raise ValidationError(f"lambda grid (1e-6, 1] * 20*rho/L^2 leaves the float "
+                              f"range: 20*rho/L^2 = {upper!r} for L={L!r}, rho={rho!r}")
     lams = np.geomspace(upper * 1e-6, upper, grid)
-    best_lam, best_cert = None, None
-    for lam in lams:
-        cert = full_certificate(ProblemConstants(L=L, rho=rho, l=l, lam=float(lam)))
-        if best_cert is None or cert.rate_r < best_cert.rate_r:
-            best_lam, best_cert = float(lam), cert
-    return best_lam, best_cert
+    table = certificate_table(L, rho, l, lams)
+    rates = table["rate_r"]
+    best = 0 if math.isnan(rates[0]) else int(np.nanargmin(rates))
+    return float(lams[best]), _certificate(table, best, moving=False)

@@ -26,7 +26,7 @@ from typing import IO, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .certify import ProblemConstants, full_certificate
+from .certify import ProblemConstants, certificate_table, full_certificate
 from .core import NumericFailure, ValidationError, as_vector, format_float
 from .dynamics import AlphaSchedule, FlowConfig, flow_to_csv, integrate
 from .problems import load_problem
@@ -123,10 +123,8 @@ def _out(args) -> Union[str, IO[str]]:
 # --------------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    constants = ProblemConstants(L=args.L, rho=args.rho, l=args.l,
-                                 lam=args.lam, beta=args.beta)
-    cert = full_certificate(constants)
-    doc = cert.to_dict()
+    doc = full_certificate(ProblemConstants(
+        L=args.L, rho=args.rho, l=args.l, lam=args.lam, beta=args.beta)).to_dict()
     if args.format == "json":
         write_lines(_out(args), [json.dumps(doc, indent=2)])
     else:
@@ -180,13 +178,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-SWEEP_FLOAT_COLUMNS = (
-    "gamma", "theta", "radicand", "mu", "Lambda", "rate_r",
-    "f_lipschitz", "discrete_rhs", "moving_rhs",
-)
-SWEEP_FLAG_COLUMNS = (
-    "existence_ok", "nesterov_ok", "continuous_ok", "discrete_ok",
-    "moving_ok", "radicand_ok",
+SWEEP_COLUMNS = (
+    "gamma", "theta", "radicand", "mu", "Lambda", "rate_r", "f_lipschitz", "discrete_rhs",
+    "moving_rhs", "existence_ok", "nesterov_ok", "continuous_ok", "discrete_ok", "moving_ok",
+    "radicand_ok",
 )
 
 
@@ -206,33 +201,36 @@ def cmd_sweep(args) -> int:
         beta_grid = [args.beta]  # may be [None]
 
     problem = load_problem(args.problem) if args.problem else None
-    x0 = None
-    if problem is not None:
-        x0 = _parse_x0(args.x0, problem.dim)
+    x0 = None if problem is None else _parse_x0(args.x0, problem.dim)
 
-    rows = []
-    n_discrete = n_continuous = n_failed = 0
-    for lam, l, beta in itertools.product(lam_grid, l_grid, beta_grid):
-        row = {"lambda": lam, "l": l, "beta": beta, "status": "ok"}
+    rows = [{"lambda": lam, "l": l, "beta": beta, "status": "ok"}
+            for lam, l, beta in itertools.product(lam_grid, l_grid, beta_grid)]
+    for row in rows:
         try:
-            cert = full_certificate(ProblemConstants(
-                L=args.L, rho=args.rho, l=l, lam=lam, beta=beta))
-            d = cert.to_dict()
-            d["f_lipschitz"] = cert.Lambda + 2.0  # (1+theta)(1+lambda*L)
-            row.update(d)
-            n_discrete += cert.discrete_ok
-            n_continuous += cert.continuous_ok
-            if problem is not None:
-                trace = solve(problem, x0, SolverConfig(
-                    lam=lam, max_iter=args.max_iter, tol=args.tol, variant=args.variant))
-                if trace.status == STATUS_NUMERIC_FAILURE:
-                    row["status"] = "numeric_failure"
-                row["empirical_rate"] = trace.empirical_rate
-        except (ValidationError, NumericFailure) as exc:
+            ProblemConstants(L=args.L, rho=args.rho, l=row["l"], lam=row["lambda"],
+                             beta=row["beta"])
+        except ValidationError as exc:
             # keep the cell parseable: the status column must stay comma-free
             row["status"] = f"error: {exc}".replace(",", ";")
-            n_failed += 1
-        rows.append(row)
+    valid = [row for row in rows if row["status"] == "ok"]
+    # one table call over the valid cells; a None beta becomes its NaN
+    table = certificate_table(args.L, args.rho, *(
+        np.array([row[name] for row in valid], dtype=float) for name in ("l", "lambda", "beta")))
+    for name in SWEEP_COLUMNS:
+        for row, value in zip(valid, table[name].tolist()):
+            row[name] = value
+    for row in (valid if problem is not None else []):
+        try:
+            trace = solve(problem, x0, SolverConfig(
+                lam=row["lambda"], max_iter=args.max_iter, tol=args.tol, variant=args.variant))
+            if trace.status == STATUS_NUMERIC_FAILURE:
+                row["status"] = "numeric_failure"
+            row["empirical_rate"] = trace.empirical_rate
+        except (ValidationError, NumericFailure) as exc:
+            row["status"] = f"error: {exc}".replace(",", ";")
+    n_discrete = sum(row.get("discrete_ok", False) for row in rows)
+    n_continuous = sum(row.get("continuous_ok", False) for row in rows)
+    n_failed = sum(row["status"].startswith("error") for row in rows)
 
     total = len(rows)
     lines = [
@@ -243,13 +241,13 @@ def cmd_sweep(args) -> int:
     ]
     if n_discrete == 0 and n_continuous == 0 and n_failed == 0:
         lines.append("# sufficient conditions (continuous and discrete) unmet at every grid point")
-    columns = ["lambda", "l", "beta", *SWEEP_FLOAT_COLUMNS, *SWEEP_FLAG_COLUMNS]
+    header = ["lambda", "l", "beta", *SWEEP_COLUMNS]
     if problem is not None:
-        columns.append("empirical_rate")
-    columns.append("status")
-    lines.append(",".join(columns))
+        header.append("empirical_rate")
+    header.append("status")
+    lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_cell(row.get(name)) for name in columns))
+        lines.append(",".join(_cell(row.get(name)) for name in header))
     write_lines(_out(args), lines)
     return 0
 

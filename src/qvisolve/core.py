@@ -61,6 +61,12 @@ def require_positive(value, name: str) -> float:
     return value
 
 
+def require_count(value, name: str) -> None:
+    """Reject all but a positive int; a bool too, although it is an int subclass."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
 def format_float(value) -> str:
     """Shortest round-trip decimal form; shared by every CSV/JSON writer."""
     return repr(float(value))
@@ -127,8 +133,7 @@ class QviProblem:
     name: str = ""
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValidationError(f"dim must be a positive integer, got {self.dim!r}")
+        require_count(self.dim, "dim")
         if self.known_solution is not None:
             sol = as_vector(self.known_solution, self.dim, name="known_solution")
             sol = sol.copy()

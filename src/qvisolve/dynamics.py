@@ -161,12 +161,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig) -> FlowTrace:
 
     tarr = np.array(ts)
     xarr = np.array(xs)
-    cert = certify.full_certificate(certify.ProblemConstants(
-        L=problem.operator.lipschitz_L,
-        rho=problem.operator.strong_rho,
-        l=problem.constraint.lip_l,
-        lam=lam,
-    ))
+    cert = certify.full_certificate(certify.ProblemConstants.of(problem, lam))
     V = envelope = None
     if problem.known_solution is not None:
         diff = xarr - problem.known_solution

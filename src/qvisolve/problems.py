@@ -29,6 +29,7 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
+    require_count,
 )
 
 
@@ -198,8 +199,7 @@ def make_l2_example(n: int, alpha: float = 2.0) -> QviProblem:
     vector, which is exact for every truncation dimension because the
     constraint already pins all tail coordinates to zero.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    require_count(n, "n")
     if not alpha > 1.0:
         raise ValidationError(
             f"alpha must exceed 1 (strong monotonicity alpha-1 must be positive), got {alpha!r}"
@@ -246,8 +246,7 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     for a seeded point well inside K(x_target), making x_target the exact
     solution. Deterministic in (n, seed, constants).
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    require_count(n, "n")
     if not (0 < rho_target <= L_target):
         raise ValidationError(
             f"need 0 < rho_target <= L_target, got rho={rho_target!r}, L={L_target!r}"

@@ -87,8 +87,9 @@ class IterationTrace:
     lam: float
 
     @property
-    def final(self) -> IterationRecord:
-        return self.records[-1]
+    def final(self) -> Optional[IterationRecord]:
+        """The last record; None if the solve failed before recording one."""
+        return self.records[-1] if self.records else None
 
     def residuals(self) -> Array:
         return np.array([r.residual for r in self.records])
@@ -149,12 +150,7 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     inputs give identical traces bit for bit.
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
-    cert = certify.full_certificate(certify.ProblemConstants(
-        L=problem.operator.lipschitz_L,
-        rho=problem.operator.strong_rho,
-        l=problem.constraint.lip_l,
-        lam=config.lam,
-    ))
+    cert = certify.full_certificate(certify.ProblemConstants.of(problem, config.lam))
     warning = not cert.discrete_ok
     if warning:
         logger.debug(

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from qvisolve import evaluate_operator, integrate, project, tseng_step
-from qvisolve.certify import ProblemConstants, full_certificate, theta
+from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.cli import main, read_compare_csv, read_sweep_csv
 from qvisolve.core import norm
 from qvisolve.dynamics import FlowConfig
@@ -74,7 +74,7 @@ def test_criterion_2_condition_equivalence():
         product = (1.0 + cert.theta) * (1.0 + lam * L)
         squared_form = (product + 1.0) ** 2 < 4.0 - l * l + 2.0 * l
         # right side: the alignment form, evaluated independently
-        th = theta(ProblemConstants(L=L, rho=rho, l=l, lam=lam))
+        th = cert.theta
         mu = 0.5 - l * l / 2.0 - th + l - lam * L - lam * L * th
         mu_form = ((1.0 + th) ** 2) * ((1.0 + lam * L) ** 2) < 2.0 * mu
         agreements += squared_form == mu_form
@@ -103,7 +103,7 @@ def test_criterion_3_sampled_inequality_suites():
         L = problem.operator.lipschitz_L
         rho = problem.operator.strong_rho
         l = problem.constraint.lip_l
-        th = theta(ProblemConstants(L=L, rho=rho, l=l, lam=lam))
+        th = full_certificate(ProblemConstants(L=L, rho=rho, l=l, lam=lam)).theta
         step_factor = math.sqrt(1.0 - 2.0 * lam * rho + (lam * L) ** 2)
         field_bound = (1.0 + lam * L) * (1.0 + th)
         xstar = problem.known_solution

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qvisolve import ValidationError
+from qvisolve import ValidationError, certify
 from qvisolve.certify import (
     Certificate,
     ProblemConstants,
     best_lambda,
     existence_bounds,
     full_certificate,
-    radicand,
-    theta,
 )
 
 from oracles import certificate_oracle, rel_err
@@ -30,15 +28,15 @@ small_l = st.floats(min_value=0.0, max_value=3.0)
 
 def test_theta_example_constants():
     # frozen from the 50-digit oracle: 0.1 + sqrt(0.89)
-    assert theta(EXAMPLE) == pytest.approx(1.0433981132056603811, rel=1e-14)
+    assert full_certificate(EXAMPLE).theta == pytest.approx(1.0433981132056603811, rel=1e-14)
 
 
 def test_theta_vanishes_at_unit_step():
-    assert theta(ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=1.0)) == 0.0
+    assert full_certificate(ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=1.0)).theta == 0.0
 
 
 def test_theta_small_lambda_limit():
-    th = theta(ProblemConstants(L=3.0, rho=1.0, l=0.1, lam=1e-12))
+    th = full_certificate(ProblemConstants(L=3.0, rho=1.0, l=0.1, lam=1e-12)).theta
     assert th == pytest.approx(1.1, abs=1e-9)
 
 
@@ -47,7 +45,7 @@ def test_radicand_identity(L, ratio, l, lam_frac):
     rho = L * ratio
     lam = lam_frac * 3.0 / L
     c = ProblemConstants(L=L, rho=rho, l=l, lam=lam)
-    direct = radicand(c)
+    direct = full_certificate(c).radicand
     via_identity = (1.0 - lam * rho) ** 2 + lam**2 * (L**2 - rho**2)
     assert direct == pytest.approx(via_identity, rel=1e-12, abs=1e-12)
     assert direct >= -1e-15
@@ -57,10 +55,11 @@ def test_radicand_minimized_at_vertex():
     # the quadratic 1 - 2 lam rho + lam^2 L^2 has its vertex at lam = rho / L^2
     L, rho = 3.0, 1.0
     vertex = rho / L**2
-    at_vertex = radicand(ProblemConstants(L=L, rho=rho, l=0.0, lam=vertex))
+    at_vertex = full_certificate(ProblemConstants(L=L, rho=rho, l=0.0, lam=vertex)).radicand
     for eps in (1e-3, 1e-2, 0.1):
         for lam in (vertex - eps * vertex, vertex + eps * vertex):
-            assert radicand(ProblemConstants(L=L, rho=rho, l=0.0, lam=lam)) >= at_vertex
+            c = ProblemConstants(L=L, rho=rho, l=0.0, lam=lam)
+            assert full_certificate(c).radicand >= at_vertex
 
 
 # ---------------------------------------------------------- existence bounds
@@ -200,7 +199,7 @@ def test_condition_equivalence_on_random_tuples():
         l = rng.uniform(0.0, 3.0)
         lam = rng.uniform(1e-6, 3.0 / L)
         c = ProblemConstants(L=L, rho=rho, l=l, lam=lam)
-        th = theta(c)
+        th = full_certificate(c).theta
         mu = 0.5 - l * l / 2.0 - th + l - lam * L - lam * L * th
         product = (1.0 + th) * (1.0 + lam * L)
         squared_form = (product + 1.0) ** 2 < 4.0 - l * l + 2.0 * l
@@ -219,6 +218,8 @@ def test_constants_validation_messages():
         ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=0.0)
     with pytest.raises(ValidationError):
         ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=0.1, beta=-1.0)
+    with pytest.raises(ValidationError, match="gamma must be >= 1 and finite, got inf"):
+        ProblemConstants(L=1.0, rho=1e-320, l=0.0, lam=0.1)
 
 
 def test_certificate_serialization_round_trip():
@@ -261,3 +262,63 @@ def test_best_lambda_deterministic():
     a = best_lambda(2.0, 0.5, 0.05, grid=501)
     b = best_lambda(2.0, 0.5, 0.05, grid=501)
     assert a[0] == b[0] and a[1] == b[1]
+
+
+@pytest.mark.parametrize("L,rho,l", [
+    (1e-200, 1e-200, 0.0),  # L*L underflows to 0
+    (5e-324, 5e-324, 0.0),
+    (1e200, 1.0, 0.0),  # L*L overflows: the grid end is 0
+    (1e150, 1e-20, 0.0),  # the grid end is positive, 1e-6 of it is 0
+    (0.0, 1.0, 0.0),
+    (1.0, 2.0, 0.0),  # rho > L
+    (1.0, 1.0, -0.1),
+    (math.nan, 1.0, 0.0),
+    (1.0, math.nan, 0.0),
+    (1.0, 1.0, math.nan),
+])
+def test_best_lambda_rejects_bad_constants(L, rho, l):
+    with pytest.raises(ValidationError):
+        best_lambda(L, rho, l)
+
+
+@pytest.mark.parametrize("L,rho,l,lam_hex,rate_hex", [
+    (3.0, 1.0, 0.1, "0x1.2a42f961f79b9p-19", "0x1.9ae279f546a1ap+2"),
+    (1.0, 1.0, 0.0, "0x1.4f8b588e368f0p-16", "0x1.8001f74edf12ap+2"),
+    (2.7, 0.9, 0.3, "0x1.4b66dc33f6acdp-19", "0x1.d8535677cc7a8p+2"),
+])
+def test_best_lambda_frozen_bits(L, rho, l, lam_hex, rate_hex):
+    # recorded from the per-lambda scalar loop this grid search replaced
+    lam, cert = best_lambda(L, rho, l)
+    assert (lam.hex(), cert.rate_r.hex()) == (lam_hex, rate_hex)
+
+
+@pytest.mark.parametrize("rates", [
+    [math.nan, 3.0, 1.0, math.nan, 1.0],
+    [2.0, math.nan, 1.0, 1.0, math.nan],
+    [2.0, 2.0, math.nan, 3.0, 2.0],
+    [1.0, math.nan, math.nan, math.nan, math.nan],
+])
+def test_best_lambda_pick_matches_scalar_loop(monkeypatch, rates):
+    # the pick of a scan that keeps a rate only when it is < the best so far
+    best = 0
+    for i, r in enumerate(rates):
+        if r < rates[best]:
+            best = i
+    real = certify.certificate_table
+
+    def with_rates(*args):
+        table = real(*args)
+        table["rate_r"] = np.array(rates)
+        return table
+
+    monkeypatch.setattr(certify, "certificate_table", with_rates)
+    lam, cert = best_lambda(1.0, 1.0, 0.0, grid=len(rates))
+    assert lam == np.geomspace(20.0 * 1e-6, 20.0, len(rates))[best]
+    assert cert.rate_r == rates[best] or (math.isnan(rates[best]) and math.isnan(cert.rate_r))
+
+
+def test_certificate_overflow_is_infinite_not_an_error():
+    # (lam*L)^2 overflows; the radicand and theta are then +inf
+    cert = full_certificate(ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=1e200))
+    assert cert.radicand == math.inf and cert.theta == math.inf
+    assert not (cert.continuous_ok or cert.discrete_ok)

@@ -11,7 +11,7 @@ from qvisolve.certify import Certificate, ProblemConstants, full_certificate
 from qvisolve.cli import main, read_compare_csv, read_sweep_csv
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
 from qvisolve.dynamics import read_flow_csv
-from qvisolve.solvers import read_trace_csv
+from qvisolve.solvers import SolverConfig, read_trace_csv, solve
 
 L2_DESCRIPTOR = json.dumps({"family": "l2_example", "n": 50, "alpha": 2.0})
 HALFLINE_DESCRIPTOR = json.dumps({
@@ -224,6 +224,20 @@ def test_flow_rejects_scalar_operator_output(capsys, monkeypatch):
     assert code == 1
     assert "operator oracle" in err
     assert out == ""
+
+
+def test_solve_nan_at_first_operator_call(capsys, monkeypatch):
+    problem = QviProblem(OperatorSpec(lambda x: x * np.nan, 1.0, 1.0),
+                         ConstraintSpec(lambda x, z: z, 0.0), dim=2)
+    trace = solve(problem, np.ones(2), SolverConfig(lam=0.1))
+    assert trace.status == "numeric_failure"
+    assert trace.records == [] and trace.final is None
+    monkeypatch.setattr(cli, "load_problem", lambda spec: problem)
+    code, out, _ = run(capsys, ["solve", "--problem", "nan", "--x0", "1,1",
+                                "--lambda", "0.1"])
+    assert code == 2
+    assert out == ("# variant: tseng\n# lambda: 0.1\n# status: numeric_failure\n"
+                   "# certificate_warning: true\nk,residual,dist_to_solution\n")
 
 
 # ------------------------------------------------------------------- compare

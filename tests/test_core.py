@@ -15,18 +15,9 @@ from qvisolve import (
     project,
     tseng_map,
 )
-from qvisolve.certify import ProblemConstants, theta
+from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector
 from qvisolve.problems import AffineMap, make_l2_example
-
-
-def constants_for(problem, lam):
-    return ProblemConstants(
-        L=problem.operator.lipschitz_L,
-        rho=problem.operator.strong_rho,
-        l=problem.constraint.lip_l,
-        lam=lam,
-    )
 
 
 # ---------------------------------------------------------------- validation
@@ -57,8 +48,9 @@ def test_constraint_spec_rejects_negative_l():
 def test_problem_rejects_bad_dim_and_solution():
     op = OperatorSpec(lambda x: x, 1.0, 1.0)
     con = ConstraintSpec(lambda x, z: z, 0.0)
-    with pytest.raises(ValidationError):
-        QviProblem(op, con, dim=0)
+    for dim in (0, True):
+        with pytest.raises(ValidationError, match="dim"):
+            QviProblem(op, con, dim=dim)
     with pytest.raises(ValidationError):
         QviProblem(op, con, dim=2, known_solution=[1.0])
 
@@ -203,7 +195,7 @@ def test_projected_step_contraction(problem_suite):
         L = problem.operator.lipschitz_L
         for _ in range(1000):
             lam = rng.uniform(0.01, 2.0 / L)
-            th = theta(constants_for(problem, lam))
+            th = full_certificate(ProblemConstants.of(problem, lam)).theta
             x = rng.normal(size=problem.dim) * 2.0
             y = rng.normal(size=problem.dim) * 2.0
             px = project(problem, x, x - lam * evaluate_operator(problem, x))
@@ -235,7 +227,7 @@ def test_vector_field_lipschitz_bound(problem_suite):
         L = problem.operator.lipschitz_L
         for _ in range(1000):
             lam = rng.uniform(0.01, 2.0 / L)
-            th = theta(constants_for(problem, lam))
+            th = full_certificate(ProblemConstants.of(problem, lam)).theta
             bound = (1.0 + lam * L) * (1.0 + th)
             x = rng.normal(size=problem.dim) * 2.0
             z = rng.normal(size=problem.dim) * 2.0
@@ -251,7 +243,7 @@ def test_residual_bound_at_known_solution(problem_suite):
         xstar = problem.known_solution
         for _ in range(1000):
             lam = rng.uniform(0.01, 2.0 / L)
-            th = theta(constants_for(problem, lam))
+            th = full_certificate(ProblemConstants.of(problem, lam)).theta
             bound = (1.0 + th) * (1.0 + lam * L)
             x = rng.normal(size=problem.dim) * 2.0
             Fx = evaluate_operator(problem, x)

@@ -182,7 +182,7 @@ def test_envelope_uses_scaled_time(halfline):
     alpha = AlphaSchedule((0.0, 2.0), (1.0, 0.5))
     config = FlowConfig(lam=0.1, h=0.25, t_end=4.0, scheme="rk4", alpha=alpha)
     trace = integrate(halfline, [2.0], config)
-    cert = full_certificate(ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=0.1))
+    cert = full_certificate(ProblemConstants.of(halfline, 0.1))
     assert trace.Lambda == cert.Lambda
     v0 = trace.V[0]
     for t, env in zip(trace.t, trace.envelope):

@@ -238,6 +238,14 @@ def test_affine_deterministic_in_seed():
     assert np.array_equal(a.known_solution, b.known_solution)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+def test_builders_reject_bad_n(n):
+    with pytest.raises(ValidationError, match="n must be"):
+        make_l2_example(n)
+    with pytest.raises(ValidationError, match="n must be"):
+        make_affine_qvi(n, seed=0, rho_target=1.0, L_target=2.0, beta=0.0)
+
+
 def test_affine_validation():
     with pytest.raises(ValidationError):
         make_affine_qvi(4, seed=0, rho_target=2.0, L_target=1.0, beta=0.0)

@@ -15,7 +15,7 @@ from qvisolve import (
     solve,
     tseng_step,
 )
-from qvisolve.certify import ProblemConstants, theta
+from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.problems import (
     AffineMap,
     BallSet,
@@ -177,9 +177,7 @@ def test_solve_records_per_step_inequality(problem_suite):
     # ||x_k - y_k - lam (F(x_k) - F(y_k))|| <= (1+theta)(1+lam L) ||x_k - x*||
     for problem in problem_suite:
         lam = 0.1
-        th = theta(ProblemConstants(
-            L=problem.operator.lipschitz_L, rho=problem.operator.strong_rho,
-            l=problem.constraint.lip_l, lam=lam))
+        th = full_certificate(ProblemConstants.of(problem, lam)).theta
         bound = (1.0 + th) * (1.0 + lam * problem.operator.lipschitz_L)
         for variant in ("tseng", "gradient_projection", "extragradient"):
             trace = solve(problem, np.ones(problem.dim),
@@ -195,11 +193,8 @@ def test_solve_records_per_step_inequality(problem_suite):
 def test_per_step_squared_estimate(l2_problem, halfline, geometric_x0):
     # dist_{k+1}^2 <= rate_r * dist_k^2 along traces (the per-step form of the
     # aggregated linear-rate display)
-    from qvisolve.certify import full_certificate
     for problem, x0 in ((l2_problem, geometric_x0), (halfline, np.array([2.0]))):
-        cert = full_certificate(ProblemConstants(
-            L=problem.operator.lipschitz_L, rho=problem.operator.strong_rho,
-            l=problem.constraint.lip_l, lam=0.1))
+        cert = full_certificate(ProblemConstants.of(problem, 0.1))
         trace = solve(problem, x0, SolverConfig(lam=0.1, max_iter=80, tol=1e-13))
         dists = trace.dists()
         for a, b in zip(dists, dists[1:]):
