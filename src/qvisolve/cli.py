@@ -147,7 +147,7 @@ def cmd_flow(args) -> int:
     x0 = _parse_x0(args.x0, problem.dim)
     config = FlowConfig(lam=args.lam, h=args.h, t_end=args.t_end,
                         scheme=args.scheme, alpha=_parse_alpha(args.alpha))
-    trace = integrate(problem, x0, config)
+    trace = integrate(problem, x0, config, keep_states=args.coords)
     flow_to_csv(trace, _out(args), include_coords=args.coords)
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 

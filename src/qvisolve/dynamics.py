@@ -105,9 +105,11 @@ class FlowConfig:
 class FlowTrace:
     """Samples of one trajectory, recorded at every step starting from t = 0.
 
-    V and envelope are filled when the problem has a known solution; the
-    envelope exponent is Lambda * \\int_0^t alpha (which reduces to Lambda*t
-    for alpha == 1).
+    x holds every state, one row per entry of t, when the flow was integrated
+    with keep_states; otherwise it is the endpoint alone, shape (1, n). Either
+    way x[-1] is the endpoint. V and envelope are filled when the problem has
+    a known solution; the envelope exponent is Lambda * \\int_0^t alpha (which
+    reduces to Lambda*t for alpha == 1).
     """
 
     t: Array
@@ -125,47 +127,65 @@ def rhs(problem: QviProblem, x, lam: float, t: float = 0.0,
     return v if alpha is None else alpha(t) * v
 
 
-def integrate(problem: QviProblem, x0, config: FlowConfig) -> FlowTrace:
+def integrate(problem: QviProblem, x0, config: FlowConfig,
+              keep_states: bool = False) -> FlowTrace:
     """Fixed-step integration from x(0) = x0; t_end is rounded to the nearest
     whole number of steps of size h. Deterministic; numeric failures (NaN/Inf
-    or norm beyond the divergence limit) stop early with a partial trace."""
+    or norm beyond the divergence limit) stop early with a partial trace.
+
+    The trace keeps every state only with keep_states (the CSV coordinates
+    need them); otherwise memory stays a few n-vectors plus the scalar series.
+    """
     x = as_vector(x0, problem.dim, name="x0").copy()
     h, lam, alpha = config.h, config.lam, config.alpha
     nsteps = max(1, int(round(config.t_end / h)))
+    xstar = problem.known_solution
 
     def f(t, xv):
         v = tseng_field(problem, xv, lam)
         return v if alpha is None else alpha(t) * v
 
+    def record(i, xv):
+        if keep_states:
+            states[i] = xv
+        if xstar is not None:
+            # a one-row einsum rounds like an einsum over all states at once
+            # when n <= 8192; beyond that einsum sums a row in 8192-element
+            # buffers whose split depends on the number of rows
+            d = (xv - xstar)[None]
+            Vs.append(0.5 * np.einsum("ij,ij->i", d, d)[0])
+
+    states = np.empty((nsteps + 1, problem.dim)) if keep_states else None
     ts = [0.0]
-    xs = [x]
+    Vs = []
+    record(0, x)
     status = "completed"
     try:
         for i in range(nsteps):
             t = i * h
             if config.scheme == "euler":
-                x = x + h * f(t, x)
+                x_next = x + h * f(t, x)
             else:
                 k1 = f(t, x)
                 k2 = f(t + h / 2.0, x + (h / 2.0) * k1)
                 k3 = f(t + h / 2.0, x + (h / 2.0) * k2)
                 k4 = f(t + h, x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.linalg.norm(x) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
+                x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.linalg.norm(x_next) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
                 status = "numeric_failure"
                 break
+            x = x_next
             ts.append((i + 1) * h)
-            xs.append(x)
+            record(i + 1, x)
     except NumericFailure:
         status = "numeric_failure"
 
     tarr = np.array(ts)
-    xarr = np.array(xs)
+    xarr = states[:len(ts)] if keep_states else x[None]
     cert = certify.full_certificate(certify.ProblemConstants.of(problem, lam))
     V = envelope = None
-    if problem.known_solution is not None:
-        diff = xarr - problem.known_solution
-        V = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    if xstar is not None:
+        V = np.array(Vs)
         if alpha is None:
             scaled_time = tarr
         else:
@@ -187,6 +207,9 @@ def flow_to_csv(trace: FlowTrace, out: Union[str, Path, IO[str]],
     dim = trace.x.shape[1]
     header = ["t", "V", "envelope"]
     if include_coords:
+        if len(trace.x) != len(trace.t):
+            raise ValidationError(
+                "coordinates need every state: integrate with keep_states=True")
         header += [f"x{i}" for i in range(dim)]
     lines = [
         f"# status: {trace.status}",

@@ -282,6 +282,7 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
 
 def make_moving_box_problem(n: int = 4, shift_scale: float = 0.1) -> QviProblem:
     """Moving box K(x) = shift_scale*x + [-1, 1]^n with F(x) = x; solution 0."""
+    require_count(n, "n")
     spec = MovingSetSpec(
         shift=AffineMap(shift_scale * np.eye(n), np.zeros(n)),
         shift_lipschitz=abs(shift_scale),

@@ -32,6 +32,7 @@ from .core import (
     format_float,
     forward_backward,
     norm,
+    require_count,
     require_positive,
 )
 
@@ -57,8 +58,7 @@ class SolverConfig:
     def __post_init__(self):
         require_positive(self.lam, "lambda")
         require_positive(self.tol, "tol")
-        if not (isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValidationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        require_count(self.max_iter, "max_iter")
         if self.variant not in VARIANTS:
             raise ValidationError(
                 f"variant must be one of {'/'.join(VARIANTS)}, got {self.variant!r}"
@@ -68,10 +68,11 @@ class SolverConfig:
 @dataclass
 class IterationRecord:
     """State at iteration k. y is the projected point computed from x (also used
-    for the residual); dist_to_solution is filled when the solution is known."""
+    for the residual); dist_to_solution is filled when the solution is known.
+    Only the final record of a trace carries x and y; earlier ones hold None."""
 
     k: int
-    x: Array
+    x: Optional[Array]
     y: Optional[Array]
     residual: float
     dist_to_solution: Optional[float]
@@ -142,9 +143,11 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     """Run the selected variant from x0 until the natural residual drops to
     config.tol or config.max_iter steps have been taken.
 
-    The trace records every visited iterate with its residual (and distance to
-    the known solution, when present). empirical_rate is the geometric mean of
-    consecutive distance ratios (residual ratios when no solution is known).
+    The trace records the residual of every visited iterate (and its distance
+    to the known solution, when present), but keeps only the final iterate x
+    and its projection y, so memory stays a few n-vectors. empirical_rate is
+    the geometric mean of consecutive distance ratios (residual ratios when no
+    solution is known).
     certificate_warning is set when the discrete sufficient condition fails at
     this step size; the run proceeds regardless. Deterministic: identical
     inputs give identical traces bit for bit.
@@ -161,13 +164,15 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     lam = config.lam
     update = UPDATES[config.variant]
     records: List[IterationRecord] = []
+    last = None  # (x, y) of the newest record
     status = STATUS_MAX_ITER
     try:
         for k in range(config.max_iter + 1):
             Fx, y = forward_backward(problem, x, lam)
             residual = norm(x - y)
             dist = norm(x - xstar) if xstar is not None else None
-            records.append(IterationRecord(k, x, y, residual, dist))
+            records.append(IterationRecord(k, None, None, residual, dist))
+            last = x, y
             if residual <= config.tol:
                 status = STATUS_CONVERGED
                 break
@@ -180,6 +185,8 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     except NumericFailure as exc:
         logger.debug("numeric failure at iteration %d: %s", len(records), exc)
         status = STATUS_NUMERIC_FAILURE
+    if records:
+        records[-1].x, records[-1].y = last
     rate = _empirical_rate(records, use_dist=xstar is not None)
     return IterationTrace(records, status, rate, warning, config.variant, config.lam)
 

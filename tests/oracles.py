@@ -4,12 +4,15 @@ These deliberately do not import the formula implementations they check: the
 certificate oracle recomputes everything in arbitrary precision with mpmath,
 and the reference step below is a separate transcription of the single-set
 scheme. Counting wrappers instrument a problem's oracles for the
-work-accounting tests.
+work-accounting tests. `replay_iterates` rebuilds the iterates a solve trace
+does not keep, with the public step functions, to check its bookkeeping.
 """
 
+import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
+from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem, norm
+from qvisolve.solvers import extragradient_step, gradient_projection_step, tseng_step
 
 mp.dps = 50
 
@@ -76,3 +79,34 @@ def reference_single_set_tseng_step(base_projection, operator, x, lam):
     from the package implementation for the scheme-equivalence check."""
     y = base_projection(x - lam * operator(x))
     return y + lam * (operator(x) - operator(y))
+
+
+def replay_iterates(problem: QviProblem, x0, trace):
+    """The (x_k, y_k) of every record of a solve trace, rebuilt with the public
+    step function of its variant.
+
+    Asserts that the rebuilt pairs give the trace's residuals and distances
+    bit for bit, that only the final record keeps x and y, and that they are
+    the last rebuilt pair.
+    """
+    lam = trace.lam
+    step = {
+        "tseng": lambda x: tseng_step(problem, x, lam)[1],
+        "gradient_projection": lambda x: gradient_projection_step(problem, x, lam),
+        "extragradient": lambda x: extragradient_step(problem, x, lam),
+    }[trace.variant]
+    xstar = problem.known_solution
+    pairs = []
+    x = np.array(x0, dtype=float)
+    for rec in trace.records:
+        if pairs:
+            x = step(x)
+        y = tseng_step(problem, x, lam)[0]  # the same projection for every variant
+        assert rec.residual == norm(x - y), rec.k
+        assert rec.dist_to_solution == (None if xstar is None else norm(x - xstar)), rec.k
+        pairs.append((x, y))
+    assert all(r.x is None and r.y is None for r in trace.records[:-1])
+    if pairs:
+        assert np.array_equal(trace.final.x, pairs[-1][0])
+        assert np.array_equal(trace.final.y, pairs[-1][1])
+    return pairs

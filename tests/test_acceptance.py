@@ -231,7 +231,8 @@ def test_criterion_6_discrete_continuous_consistency(
     worst = 0.0
     for problem, x0 in ((l2_problem, geometric_x0), (halfline, np.array([2.0]))):
         trace = integrate(problem, x0,
-                          FlowConfig(lam=0.1, h=1.0, t_end=100.0, scheme="euler"))
+                          FlowConfig(lam=0.1, h=1.0, t_end=100.0, scheme="euler"),
+                          keep_states=True)
         x = x0.copy()
         for k in range(100):
             _, x = tseng_step(problem, x, 0.1)

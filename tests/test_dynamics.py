@@ -21,6 +21,8 @@ from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import norm
 from qvisolve.dynamics import flow_to_csv, read_flow_csv
 
+from oracles import replay_iterates
+
 
 # ------------------------------------------------------------- alpha schedule
 
@@ -88,7 +90,8 @@ def test_euler_single_step(halfline):
 def test_constant_trajectory_at_solution(l2_problem):
     for scheme in ("euler", "rk4"):
         trace = integrate(l2_problem, np.zeros(50),
-                          FlowConfig(lam=0.1, h=0.25, t_end=2.0, scheme=scheme))
+                          FlowConfig(lam=0.1, h=0.25, t_end=2.0, scheme=scheme),
+                          keep_states=True)
         assert trace.status == "completed"
         assert np.all(trace.x == 0.0)
         assert np.all(trace.V == 0.0)
@@ -97,7 +100,8 @@ def test_constant_trajectory_at_solution(l2_problem):
 def test_unit_euler_matches_discrete_scheme(l2_problem, halfline, geometric_x0):
     for problem, x0 in ((l2_problem, geometric_x0), (halfline, np.array([2.0]))):
         trace = integrate(problem, x0,
-                          FlowConfig(lam=0.1, h=1.0, t_end=100.0, scheme="euler"))
+                          FlowConfig(lam=0.1, h=1.0, t_end=100.0, scheme="euler"),
+                          keep_states=True)
         assert trace.status == "completed"
         x = x0.copy()
         for k in range(100):
@@ -192,7 +196,7 @@ def test_envelope_uses_scaled_time(halfline):
 def test_alpha_zero_freezes_the_flow(halfline):
     config = FlowConfig(lam=0.1, h=0.5, t_end=2.0, scheme="euler",
                         alpha=AlphaSchedule.constant(0.0))
-    trace = integrate(halfline, [2.0], config)
+    trace = integrate(halfline, [2.0], config, keep_states=True)
     assert np.all(trace.x == 2.0)
 
 
@@ -211,10 +215,22 @@ def test_integrate_rejects_scalar_operator_output():
 
 def test_integrate_matches_solver_trajectory(halfline):
     # euler h=1 trajectory equals the discrete solver's iterates
-    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=1.0, t_end=20.0))
+    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=1.0, t_end=20.0),
+                      keep_states=True)
     discrete = solve(halfline, [2.0], SolverConfig(lam=0.1, max_iter=20, tol=0.0 + 1e-300))
-    for k in range(min(len(discrete.records), len(trace.x))):
-        assert np.allclose(trace.x[k], discrete.records[k].x, atol=1e-12)
+    iterates = [x for x, _ in replay_iterates(halfline, [2.0], discrete)]
+    for k in range(min(len(iterates), len(trace.x))):
+        assert np.allclose(trace.x[k], iterates[k], atol=1e-12)
+
+
+def test_states_kept_only_on_request(l2_problem, geometric_x0):
+    config = FlowConfig(lam=0.1, h=0.1, t_end=3.0, scheme="rk4")
+    full = integrate(l2_problem, geometric_x0, config, keep_states=True)
+    endpoint = integrate(l2_problem, geometric_x0, config)
+    assert full.x.shape == (len(full.t), 50)
+    assert endpoint.x.shape == (1, 50)
+    assert np.array_equal(endpoint.x[-1], full.x[-1])
+    assert np.array_equal(endpoint.t, full.t) and np.array_equal(endpoint.V, full.V)
 
 
 def test_flow_trace_invariants(l2_problem, geometric_x0):
@@ -229,7 +245,8 @@ def test_flow_trace_invariants(l2_problem, geometric_x0):
 # ----------------------------------------------------------------------- CSV
 
 def test_flow_csv_round_trip(halfline, tmp_path):
-    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=0.5, t_end=3.0, scheme="rk4"))
+    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=0.5, t_end=3.0, scheme="rk4"),
+                      keep_states=True)
     path = tmp_path / "flow.csv"
     flow_to_csv(trace, path, include_coords=True)
     data = read_flow_csv(path)
@@ -239,6 +256,12 @@ def test_flow_csv_round_trip(halfline, tmp_path):
     assert np.array_equal(data["V"], trace.V)
     assert np.array_equal(data["envelope"], trace.envelope)
     assert np.array_equal(data["x"], trace.x)
+
+
+def test_flow_csv_coords_need_every_state(halfline):
+    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=0.5, t_end=3.0))
+    with pytest.raises(ValidationError, match="keep_states"):
+        flow_to_csv(trace, io.StringIO(), include_coords=True)
 
 
 def test_flow_csv_without_solution(tmp_path):

@@ -1,0 +1,52 @@
+"""Traces hold a bounded number of n-vectors: `solve` keeps only its final
+iterate and `integrate` only its endpoint unless asked for every state.
+
+The bound is on memory allocated during the call (tracemalloc, which numpy
+reports its buffers to), so it holds whatever the machine's speed. Keeping
+every iterate, as a trace once did, peaks at about 92 MB here.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qvisolve import FlowConfig, SolverConfig, integrate, make_l2_example, solve
+from qvisolve.solvers import VARIANTS
+
+N = 100_000
+BOUND = 16 * N * 8  # 16 float vectors: 12.8 MB
+LAM = 0.5 / 3.0
+
+
+@pytest.fixture(scope="module")
+def l2_large():
+    problem = make_l2_example(N)
+    return problem, np.full(N, 1.0 / np.sqrt(N))
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_solve_memory_is_bounded(l2_large, variant):
+    problem, x0 = l2_large
+    peak, trace = peak_bytes(lambda: solve(problem, x0, SolverConfig(lam=LAM, variant=variant)))
+    assert trace.status == "converged"
+    assert len(trace.records) > 16  # enough iterations that kept iterates would show
+    assert peak < BOUND, f"{peak / 1e6:.1f} MB"
+
+
+def test_integrate_memory_is_bounded(l2_large):
+    problem, x0 = l2_large
+    config = FlowConfig(lam=LAM, h=0.1, t_end=4.0)
+    peak, trace = peak_bytes(lambda: integrate(problem, x0, config))
+    assert trace.status == "completed"
+    assert len(trace.t) == 41 and trace.x.shape == (1, N)
+    assert peak < BOUND, f"{peak / 1e6:.1f} MB"

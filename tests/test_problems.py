@@ -244,6 +244,8 @@ def test_builders_reject_bad_n(n):
         make_l2_example(n)
     with pytest.raises(ValidationError, match="n must be"):
         make_affine_qvi(n, seed=0, rho_target=1.0, L_target=2.0, beta=0.0)
+    with pytest.raises(ValidationError, match="n must be"):
+        make_moving_box_problem(n)
 
 
 def test_affine_validation():

@@ -1,7 +1,7 @@
 import importlib.util
 from pathlib import Path
 
-from qvisolve.cli import read_sweep_csv
+from qvisolve.cli import read_compare_csv, read_sweep_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,3 +24,14 @@ def test_feasibility_sweep_script(tmp_path, capsys):
         rows = read_sweep_csv(path)["rows"]
         assert len(rows) == 120
         assert min(row["f_lipschitz"] for row in rows) >= 2.0
+
+
+def test_figure_comparison_script(tmp_path, capsys):
+    script = load_script("run_figure_comparison")
+    out = tmp_path / "c.csv"
+    assert script.main(["--output", str(out)]) == 0
+    variants = read_compare_csv(out)["variants"]
+    assert sorted(variants) == ["extragradient", "gradient_projection", "tseng"]
+    for data in variants.values():
+        assert data["residual"][-1] <= 1e-10
+    assert f"wrote {out}" in capsys.readouterr().out

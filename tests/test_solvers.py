@@ -26,7 +26,7 @@ from qvisolve.problems import (
 )
 from qvisolve.solvers import read_trace_csv, trace_to_csv
 
-from oracles import counting_problem, reference_single_set_tseng_step
+from oracles import counting_problem, reference_single_set_tseng_step, replay_iterates
 
 # frozen pre-build oracle values for the sequence-space single step at
 # x = (1, 0, ...), lambda = 0.1, alpha = 2
@@ -166,7 +166,7 @@ def test_solve_halfline_matches_scripted_iteration(halfline):
     for expected, got in zip(HALFLINE_DISTS, dists):
         assert got == pytest.approx(expected, rel=1e-12)
     # iterates contract by exactly 0.91 while x_k >= 10/9
-    xs = [r.x[0] for r in trace.records]
+    xs = [x[0] for x, _ in replay_iterates(halfline, [2.0], trace)]
     for a, b in zip(xs, xs[1:]):
         if a >= 10.0 / 9.0 + 1e-12:
             assert b == pytest.approx(0.91 * a, rel=1e-12)
@@ -180,14 +180,15 @@ def test_solve_records_per_step_inequality(problem_suite):
         th = full_certificate(ProblemConstants.of(problem, lam)).theta
         bound = (1.0 + th) * (1.0 + lam * problem.operator.lipschitz_L)
         for variant in ("tseng", "gradient_projection", "extragradient"):
-            trace = solve(problem, np.ones(problem.dim),
+            x0 = np.ones(problem.dim)
+            trace = solve(problem, x0,
                           SolverConfig(lam=lam, max_iter=50, tol=1e-13, variant=variant))
-            for rec in trace.records:
-                Fx = evaluate_operator(problem, rec.x)
-                Fy = evaluate_operator(problem, rec.y)
-                lhs = np.linalg.norm(rec.x - rec.y - lam * (Fx - Fy))
-                dist = np.linalg.norm(rec.x - problem.known_solution)
-                assert lhs <= bound * dist + 1e-9, (problem.name, variant, rec.k)
+            for k, (x, y) in enumerate(replay_iterates(problem, x0, trace)):
+                Fx = evaluate_operator(problem, x)
+                Fy = evaluate_operator(problem, y)
+                lhs = np.linalg.norm(x - y - lam * (Fx - Fy))
+                dist = np.linalg.norm(x - problem.known_solution)
+                assert lhs <= bound * dist + 1e-9, (problem.name, variant, k)
 
 
 def test_per_step_squared_estimate(l2_problem, halfline, geometric_x0):
@@ -204,9 +205,9 @@ def test_per_step_squared_estimate(l2_problem, halfline, geometric_x0):
 def test_solve_residuals_match_definition(l2_problem, geometric_x0):
     from qvisolve import natural_residual
     trace = solve(l2_problem, geometric_x0, SolverConfig(lam=0.1, max_iter=30, tol=1e-30))
-    for rec in trace.records:
+    for rec, (x, _) in zip(trace.records, replay_iterates(l2_problem, geometric_x0, trace)):
         assert rec.residual == pytest.approx(
-            natural_residual(l2_problem, rec.x, 0.1), rel=1e-15, abs=1e-300)
+            natural_residual(l2_problem, x, 0.1), rel=1e-15, abs=1e-300)
 
 
 def test_solve_deterministic(l2_problem, geometric_x0):
@@ -215,8 +216,8 @@ def test_solve_deterministic(l2_problem, geometric_x0):
     b = solve(l2_problem, geometric_x0, config)
     assert a.status == b.status and a.empirical_rate == b.empirical_rate
     assert len(a.records) == len(b.records)
+    assert np.array_equal(a.final.x, b.final.x) and np.array_equal(a.final.y, b.final.y)
     for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.x, rb.x)
         assert ra.residual == rb.residual
         assert ra.dist_to_solution == rb.dist_to_solution
 
@@ -225,6 +226,8 @@ def test_solve_divergence_guard(halfline):
     trace = solve(halfline, [2.0], SolverConfig(lam=1e6, max_iter=100))
     assert trace.status == "numeric_failure"
     assert 0 < len(trace.records) <= 101
+    # the final record is the last iterate within the limit, not the one beyond
+    replay_iterates(halfline, [2.0], trace)
 
 
 def test_solve_nan_oracle_gives_partial_trace():
@@ -285,6 +288,10 @@ def test_solve_nan_at_each_oracle_position(variant, oracle, nth):
                                                variant=variant))
     assert trace.status == "numeric_failure"
     assert len(trace.records) == NAN_ORACLE_OUTCOMES[variant, oracle, nth]
+    # the poisoned call comes after the final record, which keeps clean x and y
+    clean = QviProblem(OperatorSpec(lambda x: x, 1.0, 1.0),
+                       ConstraintSpec(lambda x, z: np.maximum(z, 1.0), 0.0), dim=1)
+    replay_iterates(clean, [2.0], trace)
 
 
 def test_solve_projection_argument_overflow():
@@ -322,6 +329,8 @@ def test_solver_config_validation():
         SolverConfig(lam=0.1, tol=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(lam=0.1, max_iter=0)
+    with pytest.raises(ValidationError):
+        SolverConfig(lam=0.1, max_iter=True)
     with pytest.raises(ValidationError):
         SolverConfig(lam=0.1, variant="unknown")
 
