@@ -113,6 +113,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _column(values: np.ndarray) -> List[str]:
+    """_cell of every element of a float or bool array, called once per
+    distinct bit pattern. (A memo keyed by value would print -0.0 as 0.0,
+    since 0.0 == -0.0, and would never hit on NaN.)"""
+    bits, inverse = np.unique(values.view(np.uint8 if values.dtype == bool else np.uint64),
+                              return_inverse=True)
+    cells = np.array([_cell(v) for v in bits.view(values.dtype).tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
 def _out(args) -> Union[str, IO[str]]:
     """Where a command writes: the --output path, else stdout."""
     return sys.stdout if args.output is None else args.output
@@ -185,6 +195,11 @@ SWEEP_COLUMNS = (
 )
 
 
+def _error_status(exc: Exception) -> str:
+    # keep the cell parseable: the status column must stay comma-free
+    return f"error: {exc}".replace(",", ";")
+
+
 def cmd_sweep(args) -> int:
     lam_grid = _parse_grid(args.lambda_grid, "lambda-grid") if args.lambda_grid else None
     l_grid = _parse_grid(args.l_grid, "l-grid") if args.l_grid else None
@@ -203,36 +218,51 @@ def cmd_sweep(args) -> int:
     problem = load_problem(args.problem) if args.problem else None
     x0 = None if problem is None else _parse_x0(args.x0, problem.dim)
 
-    rows = [{"lambda": lam, "l": l, "beta": beta, "status": "ok"}
-            for lam, l, beta in itertools.product(lam_grid, l_grid, beta_grid)]
-    for row in rows:
+    cells = list(itertools.product(lam_grid, l_grid, beta_grid))
+    total = len(cells)
+    status = []
+    for lam, l, beta in cells:
         try:
-            ProblemConstants(L=args.L, rho=args.rho, l=row["l"], lam=row["lambda"],
-                             beta=row["beta"])
+            ProblemConstants(L=args.L, rho=args.rho, l=l, lam=lam, beta=beta)
+            status.append("ok")
         except ValidationError as exc:
-            # keep the cell parseable: the status column must stay comma-free
-            row["status"] = f"error: {exc}".replace(",", ";")
-    valid = [row for row in rows if row["status"] == "ok"]
+            status.append(_error_status(exc))
+    valid = [i for i, s in enumerate(status) if s == "ok"]
     # one table call over the valid cells; a None beta becomes its NaN
-    table = certificate_table(args.L, args.rho, *(
-        np.array([row[name] for row in valid], dtype=float) for name in ("l", "lambda", "beta")))
-    for name in SWEEP_COLUMNS:
-        for row, value in zip(valid, table[name].tolist()):
-            row[name] = value
-    for row in (valid if problem is not None else []):
-        try:
-            trace = solve(problem, x0, SolverConfig(
-                lam=row["lambda"], max_iter=args.max_iter, tol=args.tol, variant=args.variant))
-            if trace.status == STATUS_NUMERIC_FAILURE:
-                row["status"] = "numeric_failure"
-            row["empirical_rate"] = trace.empirical_rate
-        except (ValidationError, NumericFailure) as exc:
-            row["status"] = f"error: {exc}".replace(",", ";")
-    n_discrete = sum(row.get("discrete_ok", False) for row in rows)
-    n_continuous = sum(row.get("continuous_ok", False) for row in rows)
-    n_failed = sum(row["status"].startswith("error") for row in rows)
+    lam_v, l_v, beta_v = (np.array([cells[i][axis] for i in valid], dtype=float)
+                          for axis in range(3))
+    table = certificate_table(args.L, args.rho, l_v, lam_v, beta_v)
 
-    total = len(rows)
+    # each axis value is formatted once, each table column once per distinct value
+    columns = list(zip(*itertools.product(
+        *([_cell(v) for v in grid] for grid in (lam_grid, l_grid, beta_grid)))))
+    for name in SWEEP_COLUMNS:
+        column = np.full(total, "", dtype=object)
+        column[valid] = _column(table[name])
+        columns.append(column.tolist())
+    if problem is not None:
+        # the solve depends on lambda alone, so every (l, beta) cell of one
+        # lambda shares its outcome; valid lambdas are positive and finite,
+        # so equal keys mean equal bits
+        outcomes = {}
+        rates = [""] * total
+        for i in valid:
+            lam = cells[i][0]
+            if lam not in outcomes:
+                try:
+                    trace = solve(problem, x0, SolverConfig(
+                        lam=lam, max_iter=args.max_iter, tol=args.tol, variant=args.variant))
+                    outcomes[lam] = ("numeric_failure" if trace.status == STATUS_NUMERIC_FAILURE
+                                     else "ok", _cell(trace.empirical_rate))
+                except (ValidationError, NumericFailure) as exc:
+                    outcomes[lam] = (_error_status(exc), "")
+            status[i], rates[i] = outcomes[lam]
+        columns.append(rates)
+    columns.append(status)
+    n_discrete = int(np.count_nonzero(table["discrete_ok"]))
+    n_continuous = int(np.count_nonzero(table["continuous_ok"]))
+    n_failed = sum(s.startswith("error") for s in status)
+
     lines = [
         f"# sweep: L={format_float(args.L)}, rho={format_float(args.rho)}",
         f"# cells: {total}",
@@ -246,8 +276,7 @@ def cmd_sweep(args) -> int:
         header.append("empirical_rate")
     header.append("status")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(row.get(name)) for name in header))
+    lines.extend(map(",".join, zip(*columns)))
     write_lines(_out(args), lines)
     return 0
 

@@ -344,6 +344,40 @@ def test_sweep_records_per_cell_failures(capsys):
     assert doc["rows"][1]["theta"] is None  # failed cell left empty
 
 
+@pytest.mark.parametrize("values", [
+    np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5, -1.5, 5e-324, -5e-324]),
+    np.array([math.inf, -math.inf, math.nan, -math.nan, 1e300 * 1e300, 0.1, 0.1]),
+    # NaNs with another payload and with the sign bit set
+    np.array([0x7FF8000000000001, 0x3FF0000000000000, 0xFFF8000000000000],
+             dtype=np.uint64).view(float)[[0, 1, 0, 2]],
+    np.array([], dtype=float),
+    np.array([True, False, True, True]),
+    np.array([False, False]),
+])
+def test_column_formatter_matches_cell(values):
+    assert cli._column(values) == [cli._cell(v) for v in values.tolist()]
+
+
+def test_sweep_problem_solves_once_per_lambda(capsys, monkeypatch):
+    lams = []
+
+    def counting_solve(problem, x0, config):
+        lams.append(config.lam)
+        return solve(problem, x0, config)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    code, out, _ = run(capsys, [
+        "sweep", "--L", "3", "--rho", "1", "--lambda-grid", "0.05:0.25:20",
+        "--l-grid", "0:0.45:10", "--problem", L2_DESCRIPTOR, "--max-iter", "300"])
+    assert code == 0
+    assert lams == [float(v) for v in np.linspace(0.05, 0.25, 20)]
+    rows = read_sweep_csv(io.StringIO(out))["rows"]
+    assert len(rows) == 200
+    for lam, row in zip(np.repeat(lams, 10), rows):
+        assert row["lambda"] == lam
+        assert row["empirical_rate"] == rows[lams.index(lam) * 10]["empirical_rate"]
+
+
 def test_sweep_beta_grid_moving_column(capsys):
     code, out, _ = run(capsys, [
         "sweep", "--L", "1", "--rho", "1", "--lambda", "0.5",

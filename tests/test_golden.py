@@ -1,8 +1,9 @@
 """Golden bytes of the certificate and iterate outputs.
 
-The certificate digests were recorded from the scalar (pure Python float)
-certificate code. Any change in the last bit of a printed value -- for example squaring
-with x * x instead of the libm pow behind Python's x ** 2 -- changes them.
+The first nine certificate digests were recorded from the scalar (pure Python
+float) certificate code, and the last four from the row-by-row sweep writer.
+Any change in the last bit of a printed value -- for example squaring with
+x * x instead of the libm pow behind Python's x ** 2 -- changes them.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ from qvisolve.cli import main
 from qvisolve.dynamics import flow_to_csv
 from qvisolve.problems import default_problem_suite
 from qvisolve.solvers import VARIANTS
+
+L2_20 = '{"family": "l2_example", "n": 20}'
 
 CERTIFY = ["certify", "--L", "3", "--rho", "1", "--l", "0.1", "--lambda", "0.1"]
 
@@ -57,6 +60,28 @@ GOLDEN = {
     "sweep-gamma-overflow": (
         ["sweep", "--L", "1", "--rho", "1e-320", "--lambda-grid", "0.1,0.2"],
         "6558faa57c33bb1fb56289a311d123478ace928f9761e20261cbd68f66f8ed95"),
+    # the size of one certificate sweep of the benchmark: 40 x 10 x 10 cells
+    "sweep-benchmark-size": (
+        ["sweep", "--L", "2.7", "--rho", "1.3", "--lambda-grid", "0.01:1:40",
+         "--l-grid", "0:0.45:10", "--beta-grid", "0:0.45:10"],
+        "2d0b972ff8ee64afb48145604658cc3b6bccc38a87effd62d9c2398ce5ad618d"),
+    # signed zeros and repeats on every axis; a NaN or infinite beta is an error cell
+    "sweep-signed-zeros-nonfinite-beta": (
+        ["sweep", "--L", "3", "--rho", "1", "--lambda-grid=-0.0,0.1,0.2",
+         "--l-grid=0,-0.0,0", "--beta-grid=0,-0.0,nan,inf,0.3"],
+        "1b8912a4f7a6f5f7bb5d46676f1f474efabc38c97905a81900ac33ca585e5adf"),
+    # a repeated lambda, error cells on both axes, and two lambdas whose
+    # solves end in numeric_failure
+    "sweep-problem-grid": (
+        ["sweep", "--L", "3", "--rho", "1", "--lambda-grid=0.05,-0.1,0.1,0.8,0.1,5",
+         "--l-grid=0,-1,0.1,0.2", "--problem", L2_20, "--max-iter", "200"],
+        "92fc06f73997be418d8158eb0c0e983671ab01a0d329f29dd3025647ee07b5ad"),
+    # the solver config is rejected: every valid cell reports the error but
+    # keeps its certificate columns
+    "sweep-problem-config-error": (
+        ["sweep", "--L", "3", "--rho", "1", "--lambda-grid=0.05,0.1",
+         "--l-grid=0,0.1", "--problem", L2_20, "--tol=-1"],
+        "3a9521f19b8f9602bd3b274997d2e3de236abe0e323cd72e4bc24e8b864b5d4c"),
 }
 
 
