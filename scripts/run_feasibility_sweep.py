@@ -12,7 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from qvisolve.cli import main as qvisolve_main, read_sweep_csv
+from qvisolve.cli import main as qvisolve_main
+from qvisolve.csvio import read_sweep_csv
 
 
 def main(argv=None):

@@ -8,7 +8,8 @@ import json
 import sys
 from pathlib import Path
 
-from qvisolve.cli import main as qvisolve_main, read_compare_csv
+from qvisolve.cli import main as qvisolve_main
+from qvisolve.csvio import read_compare_csv
 
 
 def main(argv=None):

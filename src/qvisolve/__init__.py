@@ -31,10 +31,10 @@ from .solvers import (
     extragradient_step,
     gradient_projection_step,
     solve,
-    trace_to_csv,
     tseng_step,
 )
-from .dynamics import AlphaSchedule, FlowConfig, FlowTrace, flow_to_csv, integrate, rhs
+from .dynamics import AlphaSchedule, FlowConfig, FlowTrace, integrate, rhs
+from .csvio import flow_to_csv, trace_to_csv
 from .problems import (
     AffineMap,
     BallSet,

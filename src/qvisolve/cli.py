@@ -27,19 +27,13 @@ from typing import IO, List, Optional, Sequence, Union
 import numpy as np
 
 from .certify import ProblemConstants, certificate_table, full_certificate
-from .core import NumericFailure, ValidationError, as_vector, format_float
-from .dynamics import AlphaSchedule, FlowConfig, flow_to_csv, integrate
+from .core import NumericFailure, ValidationError, as_vector
+from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_csv,
+                    sweep_to_csv, trace_to_csv, write_lines)
+from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
+from .dynamics import AlphaSchedule, FlowConfig, integrate
 from .problems import load_problem
-from .solvers import (
-    STATUS_NUMERIC_FAILURE,
-    VARIANTS,
-    SolverConfig,
-    comment_meta,
-    read_csv,
-    solve,
-    trace_to_csv,
-    write_lines,
-)
+from .solvers import STATUS_NUMERIC_FAILURE, VARIANTS, SolverConfig, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,27 +96,6 @@ def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
     return AlphaSchedule(tuple(times), tuple(values))
 
 
-def _cell(v) -> str:
-    """One CSV cell: empty for None and non-finite floats, lower-case flags."""
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, float)):
-        return format_float(v)
-    return str(v)
-
-
-def _column(values: np.ndarray) -> List[str]:
-    """_cell of every element of a float or bool array, called once per
-    distinct bit pattern. (A memo keyed by value would print -0.0 as 0.0,
-    since 0.0 == -0.0, and would never hit on NaN.)"""
-    bits, inverse = np.unique(values.view(np.uint8 if values.dtype == bool else np.uint64),
-                              return_inverse=True)
-    cells = np.array([_cell(v) for v in bits.view(values.dtype).tolist()], dtype=object)
-    return cells[inverse].tolist()
-
-
 def _out(args) -> Union[str, IO[str]]:
     """Where a command writes: the --output path, else stdout."""
     return sys.stdout if args.output is None else args.output
@@ -138,7 +111,7 @@ def cmd_certify(args) -> int:
     if args.format == "json":
         write_lines(_out(args), [json.dumps(doc, indent=2)])
     else:
-        write_lines(_out(args), [",".join(doc), ",".join(_cell(v) for v in doc.values())])
+        certificate_to_csv(doc, _out(args))
     return 0
 
 
@@ -166,26 +139,13 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.problem)
     x0 = _parse_x0(args.x0, problem.dim)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants:
-        raise ValidationError("variants: need at least one variant")
-    traces = []
-    for variant in variants:
-        config = SolverConfig(lam=args.lam, max_iter=args.max_iter,
-                              tol=args.tol, variant=variant)
-        traces.append(solve(problem, x0, config))
-    lines = [f"# lambda: {format_float(args.lam)}"]
-    for trace in traces:
-        lines.append(
-            f"# {trace.variant}: status={trace.status}, "
-            f"certificate_warning={str(trace.certificate_warning).lower()}"
-        )
-    lines.append("variant,k,residual,dist_to_solution")
-    for trace in traces:
-        for r in trace.records:
-            dist = "" if r.dist_to_solution is None else format_float(r.dist_to_solution)
-            lines.append(f"{trace.variant},{r.k},{format_float(r.residual)},{dist}")
-    write_lines(_out(args), lines)
-    return 0
+    if not variants or len(set(variants)) < len(variants):
+        raise ValidationError(f"variants: need at least one, each named once, got {args.variants!r}")
+    traces = [solve(problem, x0, SolverConfig(lam=args.lam, max_iter=args.max_iter,
+                                              tol=args.tol, variant=variant))
+              for variant in variants]
+    compare_to_csv(traces, _out(args))
+    return 2 if any(t.status == STATUS_NUMERIC_FAILURE for t in traces) else 0
 
 
 SWEEP_COLUMNS = (
@@ -193,11 +153,6 @@ SWEEP_COLUMNS = (
     "moving_rhs", "existence_ok", "nesterov_ok", "continuous_ok", "discrete_ok", "moving_ok",
     "radicand_ok",
 )
-
-
-def _error_status(exc: Exception) -> str:
-    # keep the cell parseable: the status column must stay comma-free
-    return f"error: {exc}".replace(",", ";")
 
 
 def cmd_sweep(args) -> int:
@@ -219,33 +174,24 @@ def cmd_sweep(args) -> int:
     x0 = None if problem is None else _parse_x0(args.x0, problem.dim)
 
     cells = list(itertools.product(lam_grid, l_grid, beta_grid))
-    total = len(cells)
     status = []
     for lam, l, beta in cells:
         try:
             ProblemConstants(L=args.L, rho=args.rho, l=l, lam=lam, beta=beta)
             status.append("ok")
         except ValidationError as exc:
-            status.append(_error_status(exc))
+            status.append(error_status(exc))
     valid = [i for i, s in enumerate(status) if s == "ok"]
     # one table call over the valid cells; a None beta becomes its NaN
     lam_v, l_v, beta_v = (np.array([cells[i][axis] for i in valid], dtype=float)
                           for axis in range(3))
     table = certificate_table(args.L, args.rho, l_v, lam_v, beta_v)
-
-    # each axis value is formatted once, each table column once per distinct value
-    columns = list(zip(*itertools.product(
-        *([_cell(v) for v in grid] for grid in (lam_grid, l_grid, beta_grid)))))
-    for name in SWEEP_COLUMNS:
-        column = np.full(total, "", dtype=object)
-        column[valid] = _column(table[name])
-        columns.append(column.tolist())
+    columns = {name: table[name] for name in SWEEP_COLUMNS}
     if problem is not None:
         # the solve depends on lambda alone, so every (l, beta) cell of one
         # lambda shares its outcome; valid lambdas are positive and finite,
         # so equal keys mean equal bits
-        outcomes = {}
-        rates = [""] * total
+        outcomes, rates = {}, []
         for i in valid:
             lam = cells[i][0]
             if lam not in outcomes:
@@ -253,72 +199,15 @@ def cmd_sweep(args) -> int:
                     trace = solve(problem, x0, SolverConfig(
                         lam=lam, max_iter=args.max_iter, tol=args.tol, variant=args.variant))
                     outcomes[lam] = ("numeric_failure" if trace.status == STATUS_NUMERIC_FAILURE
-                                     else "ok", _cell(trace.empirical_rate))
+                                     else "ok", trace.empirical_rate)
                 except (ValidationError, NumericFailure) as exc:
-                    outcomes[lam] = (_error_status(exc), "")
-            status[i], rates[i] = outcomes[lam]
-        columns.append(rates)
-    columns.append(status)
-    n_discrete = int(np.count_nonzero(table["discrete_ok"]))
-    n_continuous = int(np.count_nonzero(table["continuous_ok"]))
-    n_failed = sum(s.startswith("error") for s in status)
-
-    lines = [
-        f"# sweep: L={format_float(args.L)}, rho={format_float(args.rho)}",
-        f"# cells: {total}",
-        f"# discrete_ok: {n_discrete}/{total}",
-        f"# continuous_ok: {n_continuous}/{total}",
-    ]
-    if n_discrete == 0 and n_continuous == 0 and n_failed == 0:
-        lines.append("# sufficient conditions (continuous and discrete) unmet at every grid point")
-    header = ["lambda", "l", "beta", *SWEEP_COLUMNS]
-    if problem is not None:
-        header.append("empirical_rate")
-    header.append("status")
-    lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*columns)))
-    write_lines(_out(args), lines)
+                    outcomes[lam] = (error_status(exc), None)
+            status[i], rate = outcomes[lam]
+            rates.append(np.nan if rate is None else rate)
+        columns["empirical_rate"] = np.array(rates, dtype=float)
+    sweep_to_csv(_out(args), args.L, args.rho,
+                 {"lambda": lam_grid, "l": l_grid, "beta": beta_grid}, columns, valid, status)
     return 0
-
-
-def read_compare_csv(source: Union[str, Path, IO[str]]) -> dict:
-    """Parse a compare CSV into {variant: {k, residual, dist_to_solution}}."""
-    comments, _, rows = read_csv(source)
-    per_variant: dict = {}
-    for row in rows:
-        variant, k, residual, dist = row.split(",")
-        bucket = per_variant.setdefault(
-            variant, {"k": [], "residual": [], "dist_to_solution": []})
-        bucket["k"].append(int(k))
-        bucket["residual"].append(float(residual))
-        bucket["dist_to_solution"].append(np.nan if dist == "" else float(dist))
-    for bucket in per_variant.values():
-        bucket["k"] = np.array(bucket["k"], dtype=int)
-        bucket["residual"] = np.array(bucket["residual"])
-        bucket["dist_to_solution"] = np.array(bucket["dist_to_solution"])
-    return {"meta": comment_meta(comments), "variants": per_variant}
-
-
-def read_sweep_csv(source: Union[str, Path, IO[str]]) -> dict:
-    """Parse a sweep CSV into comment metadata plus a list of row dicts."""
-    comments, header, lines = read_csv(source)
-    rows = []
-    for line in lines:
-        row = {}
-        for name, value in zip(header, line.split(",")):
-            if value == "":
-                row[name] = None
-            elif value in ("true", "false"):
-                row[name] = value == "true"
-            elif name == "status":
-                row[name] = value
-            else:
-                try:
-                    row[name] = float(value)
-                except ValueError:
-                    row[name] = value
-        rows.append(row)
-    return {"comments": comments, "columns": header or [], "rows": rows}
 
 
 # --------------------------------------------------------------------------

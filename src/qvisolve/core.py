@@ -67,11 +67,6 @@ def require_count(value, name: str) -> None:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
-def format_float(value) -> str:
-    """Shortest round-trip decimal form; shared by every CSV/JSON writer."""
-    return repr(float(value))
-
-
 def oracle_result(value, dim: int, what: str) -> Array:
     """Validate an oracle's output: right shape, and finite (else NumericFailure)."""
     r = np.asarray(value, dtype=float)

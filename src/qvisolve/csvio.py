@@ -1,0 +1,229 @@
+"""The CSV format of every output: cell formatters, one writer per output
+(trace, compare, flow, sweep, certificate) and one reader per command CSV.
+
+A table is LF-terminated UTF-8: '# ' comment lines with the run metadata, a
+header row, then comma-separated rows; floats print in shortest round-trip form.
+"""
+
+from __future__ import annotations
+
+import itertools
+from pathlib import Path
+from typing import IO, Iterable, List, Optional, Union
+
+import numpy as np
+
+from .core import ValidationError
+
+Sink = Union[str, Path, IO[str]]
+
+TRACE_HEADER = ["k", "residual", "dist_to_solution"]
+
+
+def format_float(value) -> str:
+    """Shortest round-trip decimal form."""
+    return repr(float(value))
+
+
+def _cell(v) -> str:
+    """One CSV cell: empty for None and non-finite floats, lower-case flags."""
+    if v is None or (isinstance(v, float) and not np.isfinite(v)):
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (int, float)):
+        return format_float(v)
+    return str(v)
+
+
+def _column(values: np.ndarray) -> List[str]:
+    """_cell of every element of a float or bool array, called once per distinct
+    bit pattern (a memo keyed by value would print -0.0 as 0.0 and miss NaNs)."""
+    bits, inverse = np.unique(values.view(np.uint8 if values.dtype == bool else np.uint64),
+                              return_inverse=True)
+    cells = np.array([_cell(v) for v in bits.view(values.dtype).tolist()], dtype=object)
+    return cells[inverse].tolist()
+
+
+def write_lines(out: Sink, lines: List[str]) -> None:
+    """Write LF-terminated UTF-8 lines to a path or file object."""
+    text = "\n".join(lines) + "\n"
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+
+
+def _write_table(out: Sink, comments: List[str], header: Iterable[str], rows: Iterable[str]):
+    """'# ' comment lines, the header, then rows already joined with commas."""
+    write_lines(out, [*(f"# {c}" for c in comments), ",".join(header), *rows])
+
+
+def _trace_rows(trace, prefix: str = "") -> List[str]:
+    """'k,residual,dist_to_solution' of every record, each after prefix."""
+    return [f"{prefix}{r.k},{format_float(r.residual)},"
+            f"{'' if r.dist_to_solution is None else format_float(r.dist_to_solution)}"
+            for r in trace.records]
+
+
+def trace_to_csv(trace, out: Sink) -> None:
+    _write_table(out, [f"variant: {trace.variant}", f"lambda: {format_float(trace.lam)}",
+                       f"status: {trace.status}",
+                       f"certificate_warning: {_cell(trace.certificate_warning)}"],
+                 TRACE_HEADER, _trace_rows(trace))
+
+
+def compare_to_csv(traces, out: Sink) -> None:
+    """Traces at one lambda in one table, their rows after a variant column."""
+    comments = [f"lambda: {format_float(traces[0].lam)}"]
+    comments += [f"{t.variant}: status={t.status}, "
+                 f"certificate_warning={_cell(t.certificate_warning)}" for t in traces]
+    rows = [row for t in traces for row in _trace_rows(t, f"{t.variant},")]
+    _write_table(out, comments, ["variant", *TRACE_HEADER], rows)
+
+
+def flow_to_csv(trace, out: Sink, include_coords: bool = False) -> None:
+    """Columns t,V,envelope (empty without a known solution; an overflowed
+    envelope prints as inf), then x0, x1, ... with include_coords."""
+    if include_coords and len(trace.x) != len(trace.t):
+        raise ValidationError("coordinates need every state: integrate with keep_states=True")
+    header = ["t", "V", "envelope"]
+    series = [[""] * len(trace.t) if c is None else [format_float(v) for v in c.tolist()]
+              for c in (trace.t, trace.V, trace.envelope)]
+    rows = map(",".join, zip(*series))
+    if include_coords:  # one state at a time, as the rows are joined
+        header += [f"x{i}" for i in range(trace.x.shape[1])]
+        rows = (",".join([row, *map(format_float, x.tolist())]) for row, x in zip(rows, trace.x))
+    _write_table(out, [f"status: {trace.status}", f"Lambda: {format_float(trace.Lambda)}"],
+                 header, rows)
+
+
+def error_status(exc: Exception) -> str:
+    """A failed sweep cell's status; commas become ';' so the row stays splittable."""
+    return f"error: {exc}".replace(",", ";")
+
+
+def sweep_to_csv(out: Sink, L: float, rho: float, axes: dict, table: dict, valid: List[int],
+                 status: List[str]) -> None:
+    """One row per cell of the product of the axes (name -> grid): its axis
+    values, each table column (name -> array over the valid cells; empty
+    elsewhere) and its status, under a summary of the condition counts."""
+    total = len(status)
+    # each axis value is formatted once, each table column once per distinct value
+    columns = list(zip(*itertools.product(*([_cell(v) for v in grid] for grid in axes.values()))))
+    for values in table.values():
+        column = np.full(total, "", dtype=object)
+        column[valid] = _column(values)
+        columns.append(column.tolist())
+    columns.append(status)
+    n_discrete = int(np.count_nonzero(table["discrete_ok"]))
+    n_continuous = int(np.count_nonzero(table["continuous_ok"]))
+    comments = [f"sweep: L={format_float(L)}, rho={format_float(rho)}", f"cells: {total}",
+                f"discrete_ok: {n_discrete}/{total}", f"continuous_ok: {n_continuous}/{total}"]
+    if n_discrete == 0 and n_continuous == 0 and not any(s.startswith("error") for s in status):
+        comments.append("sufficient conditions (continuous and discrete) unmet at every grid point")
+    _write_table(out, comments, [*axes, *table, "status"], map(",".join, zip(*columns)))
+
+
+def certificate_to_csv(doc: dict, out: Sink) -> None:
+    """A Certificate.to_dict() as a header and one row; null values are empty."""
+    _write_table(out, [], doc, [",".join(_cell(v) for v in doc.values())])
+
+
+def read_csv(source: Sink):
+    """Split a CSV written by this package into (comments, header, rows): the
+    stripped text of each '#' line, the first other line split on commas (None
+    when absent) and every later line, unsplit. Empty lines are skipped."""
+    if isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
+    else:
+        text = source.read()
+    comments: List[str] = []
+    header: Optional[List[str]] = None
+    rows: List[str] = []
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line)
+    return comments, header, rows
+
+
+def comment_meta(comments: List[str]) -> dict:
+    """'key: value' comment lines as a dict (a later key wins)."""
+    return {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
+
+
+def _floats(rows: List[str], width: int) -> np.ndarray:
+    """Rows of numeric cells as a (len(rows), width) array; an empty cell is NaN."""
+    return np.array([[np.nan if c == "" else float(c) for c in row.split(",")] for row in rows],
+                    dtype=float).reshape(len(rows), width)
+
+
+def _trace_columns(rows: List[str]) -> dict:
+    """'k,residual,dist_to_solution' lines as one array per column."""
+    data = _floats(rows, 3)
+    return {"k": data[:, 0].astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
+
+
+def read_trace_csv(source: Sink) -> dict:
+    """Parse a trace CSV back into plain arrays plus its comment metadata."""
+    comments, _, rows = read_csv(source)
+    meta = comment_meta(comments)
+    return {"variant": meta.get("variant"),
+            "lambda": float(meta["lambda"]) if "lambda" in meta else None,
+            "status": meta.get("status"),
+            "certificate_warning": meta.get("certificate_warning") == "true",
+            **_trace_columns(rows)}
+
+
+def read_compare_csv(source: Sink) -> dict:
+    """Parse a compare CSV into comment metadata plus trace columns per variant."""
+    comments, _, rows = read_csv(source)
+    groups: dict = {}
+    for row in rows:
+        variant, _, trace_row = row.partition(",")
+        groups.setdefault(variant, []).append(trace_row)
+    return {"meta": comment_meta(comments),
+            "variants": {variant: _trace_columns(group) for variant, group in groups.items()}}
+
+
+def read_flow_csv(source: Sink) -> dict:
+    """Parse a flow CSV into t, V and envelope arrays (and x, the coordinates,
+    when present) plus its status and Lambda."""
+    comments, header, rows = read_csv(source)
+    meta = comment_meta(comments)
+    data = _floats(rows, max(len(header or ()), 3))
+    out = {"status": meta.get("status"),
+           "Lambda": float(meta["Lambda"]) if "Lambda" in meta else None,
+           "t": data[:, 0], "V": data[:, 1], "envelope": data[:, 2]}
+    if data.shape[1] > 3:
+        out["x"] = data[:, 3:]
+    return out
+
+
+def read_sweep_csv(source: Sink) -> dict:
+    """Parse a sweep CSV into comment metadata plus a list of row dicts."""
+    comments, header, lines = read_csv(source)
+    rows = []
+    for line in lines:
+        row = {}
+        for name, value in zip(header, line.split(",")):
+            if value == "":
+                row[name] = None
+            elif value in ("true", "false"):
+                row[name] = value == "true"
+            elif name == "status":
+                row[name] = value
+            else:
+                try:
+                    row[name] = float(value)
+                except ValueError:
+                    row[name] = value
+        rows.append(row)
+    return {"comments": comments, "columns": header or [], "rows": rows}

@@ -15,8 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +26,12 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
-    format_float,
     require_positive,
     tseng_field,
     tseng_map,
 )
-from .solvers import DIVERGENCE_LIMIT, comment_meta, read_csv, write_lines
+from .csvio import read_flow_csv  # noqa: F401  (bench/workloads.py imports it from here)
+from .solvers import DIVERGENCE_LIMIT
 
 SCHEMES = ("euler", "rk4")
 
@@ -196,48 +195,3 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
             envelope = V[0] * np.exp(cert.Lambda * scaled_time)
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
                      Lambda=cert.Lambda, status=status)
-
-
-# --------------------------------------------------------------------------
-# CSV serialization (t,V,envelope; coordinates behind a flag)
-# --------------------------------------------------------------------------
-
-def flow_to_csv(trace: FlowTrace, out: Union[str, Path, IO[str]],
-                include_coords: bool = False) -> None:
-    dim = trace.x.shape[1]
-    header = ["t", "V", "envelope"]
-    if include_coords:
-        if len(trace.x) != len(trace.t):
-            raise ValidationError(
-                "coordinates need every state: integrate with keep_states=True")
-        header += [f"x{i}" for i in range(dim)]
-    lines = [
-        f"# status: {trace.status}",
-        f"# Lambda: {format_float(trace.Lambda)}",
-        ",".join(header),
-    ]
-    for i, t in enumerate(trace.t):
-        row = [format_float(t)]
-        row.append("" if trace.V is None else format_float(trace.V[i]))
-        row.append("" if trace.envelope is None else format_float(trace.envelope[i]))
-        if include_coords:
-            row += [format_float(v) for v in trace.x[i]]
-        lines.append(",".join(row))
-    write_lines(out, lines)
-
-
-def read_flow_csv(source: Union[str, Path, IO[str]]) -> dict:
-    comments, header, rows = read_csv(source)
-    meta = comment_meta(comments)
-    data = (np.array([[np.nan if c == "" else float(c) for c in row.split(",")] for row in rows])
-            if rows else np.empty((0, len(header or []))))
-    out = {
-        "status": meta.get("status"),
-        "Lambda": float(meta["Lambda"]) if "Lambda" in meta else None,
-        "t": data[:, 0] if data.size else np.array([]),
-        "V": data[:, 1] if data.size else np.array([]),
-        "envelope": data[:, 2] if data.size else np.array([]),
-    }
-    if header is not None and len(header) > 3:
-        out["x"] = data[:, 3:]
-    return out

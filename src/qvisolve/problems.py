@@ -247,6 +247,8 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     solution. Deterministic in (n, seed, constants).
     """
     require_count(n, "n")
+    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0 < rho_target <= L_target):
         raise ValidationError(
             f"need 0 < rho_target <= L_target, got rho={rho_target!r}, L={L_target!r}"
@@ -308,6 +310,10 @@ def default_problem_suite() -> list[QviProblem]:
 # JSON problem descriptors
 # --------------------------------------------------------------------------
 
+#: declared L >= (1 - slack) * ||A|| and rho <= lambda_min(sym A) + slack * ||A||
+CONSTANT_SLACK = 1e-9
+
+
 def _number(d: dict, key: str, default, integer: bool = False, where: str = ""):
     """d[key] as a finite float (an int when integer), or default when the key
     is absent or null; anything else, a bool too, is a ValidationError."""
@@ -352,20 +358,24 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
         raise ValidationError(f"operator must be 'identity' or an object, got {d!r}")
     where = "operator."
     matrix = _array(d, "matrix", np.eye(n), where=where)
-    amap = AffineMap(matrix, _array(d, "offset", np.zeros(n), where=where))
-    if matrix.shape != (n, n):
-        raise ValidationError(f"operator.matrix must be {n}x{n}, got {matrix.shape}")
-    L = _number(d, "L", None, where=where)
-    rho = _number(d, "rho", None, where=where)
-    if L is None:
-        L = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    if rho is None:
-        rho = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
+    if matrix.shape != (n, n) or not np.isfinite(matrix).all():
+        raise ValidationError(f"operator.matrix must be {n}x{n} with finite entries, "
+                              f"got shape {matrix.shape}")
+    offset = as_vector(_array(d, "offset", np.zeros(n), where=where), n, "operator.offset")
+    sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
+    eig_min = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
+    L = _number(d, "L", sigma, where=where)
+    rho = _number(d, "rho", eig_min, where=where)
+    if L < (1.0 - CONSTANT_SLACK) * sigma:
+        raise ValidationError(f"operator.L = {L!r} is below the matrix's norm {sigma!r}")
+    if rho > eig_min + CONSTANT_SLACK * sigma:
+        raise ValidationError(f"operator.rho = {rho!r} exceeds the smallest eigenvalue of the "
+                              f"matrix's symmetric part, {eig_min!r}")
     if rho <= 0:
         raise ValidationError(
             f"operator is not strongly monotone (min symmetric eigenvalue {rho:g})"
         )
-    return OperatorSpec(amap, lipschitz_L=L, strong_rho=rho)
+    return OperatorSpec(AffineMap(matrix, offset), lipschitz_L=L, strong_rho=rho)
 
 
 def load_problem(source: Union[dict, str, Path]) -> QviProblem:
@@ -416,7 +426,8 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
         base = _set_from_descriptor(n, doc, "base_set")
         scale = _number(doc, "shift_scale", 0.0)
         spec = MovingSetSpec(
-            shift=AffineMap(scale * np.eye(n), _array(doc, "shift_offset", 0.0, (n,))),
+            shift=AffineMap(scale * np.eye(n), as_vector(_array(doc, "shift_offset", 0.0, (n,)),
+                                                         n, "shift_offset")),
             shift_lipschitz=abs(scale),
             base_projection=base.project,
         )

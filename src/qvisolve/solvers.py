@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,12 +28,12 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
-    format_float,
     forward_backward,
     norm,
     require_count,
     require_positive,
 )
+from .csvio import read_trace_csv  # noqa: F401  (bench/workloads.py imports it from here)
 
 logger = logging.getLogger(__name__)
 
@@ -189,81 +188,3 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
         records[-1].x, records[-1].y = last
     rate = _empirical_rate(records, use_dist=xstar is not None)
     return IterationTrace(records, status, rate, warning, config.variant, config.lam)
-
-
-# --------------------------------------------------------------------------
-# CSV serialization (columns k,residual,dist_to_solution; metadata and warning
-# flags in leading '#' comments)
-# --------------------------------------------------------------------------
-
-def write_lines(out: Union[str, Path, IO[str]], lines: List[str]) -> None:
-    """Write LF-terminated UTF-8 lines to a path or file object."""
-    text = "\n".join(lines) + "\n"
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-
-
-def trace_to_csv(trace: IterationTrace, out: Union[str, Path, IO[str]]) -> None:
-    lines = [
-        f"# variant: {trace.variant}",
-        f"# lambda: {format_float(trace.lam)}",
-        f"# status: {trace.status}",
-        f"# certificate_warning: {str(trace.certificate_warning).lower()}",
-        "k,residual,dist_to_solution",
-    ]
-    for r in trace.records:
-        dist = "" if r.dist_to_solution is None else format_float(r.dist_to_solution)
-        lines.append(f"{r.k},{format_float(r.residual)},{dist}")
-    write_lines(out, lines)
-
-
-def read_csv(source: Union[str, Path, IO[str]]):
-    """Split a CSV written by this package into (comments, header, rows): the
-    stripped text of each '#' line, the first other line split on commas (None
-    when absent) and every later line, unsplit. Empty lines are skipped."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    comments: List[str] = []
-    header: Optional[List[str]] = None
-    rows: List[str] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line)
-    return comments, header, rows
-
-
-def comment_meta(comments: List[str]) -> dict:
-    """'key: value' comment lines as a dict (a later key wins)."""
-    return {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
-
-
-def read_trace_csv(source: Union[str, Path, IO[str]]) -> dict:
-    """Parse a trace CSV back into plain arrays plus its comment metadata."""
-    comments, _, rows = read_csv(source)
-    meta = comment_meta(comments)
-    ks, residuals, dists = [], [], []
-    for row in rows:
-        k, residual, dist = row.split(",")
-        ks.append(int(k))
-        residuals.append(float(residual))
-        dists.append(np.nan if dist == "" else float(dist))
-    return {
-        "variant": meta.get("variant"),
-        "lambda": float(meta["lambda"]) if "lambda" in meta else None,
-        "status": meta.get("status"),
-        "certificate_warning": meta.get("certificate_warning") == "true",
-        "k": np.array(ks, dtype=int),
-        "residual": np.array(residuals),
-        "dist_to_solution": np.array(dists),
-    }

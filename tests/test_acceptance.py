@@ -12,7 +12,8 @@ import numpy as np
 
 from qvisolve import evaluate_operator, integrate, project, tseng_step
 from qvisolve.certify import ProblemConstants, full_certificate
-from qvisolve.cli import main, read_compare_csv, read_sweep_csv
+from qvisolve.cli import main
+from qvisolve.csvio import read_compare_csv, read_sweep_csv
 from qvisolve.core import norm
 from qvisolve.dynamics import FlowConfig
 from qvisolve.problems import (

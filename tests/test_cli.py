@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qvisolve import cli
+from qvisolve import cli, csvio
 from qvisolve.certify import Certificate, ProblemConstants, full_certificate
-from qvisolve.cli import main, read_compare_csv, read_sweep_csv
+from qvisolve.cli import main
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
-from qvisolve.dynamics import read_flow_csv
-from qvisolve.solvers import SolverConfig, read_trace_csv, solve
+from qvisolve.csvio import read_compare_csv, read_flow_csv, read_sweep_csv, read_trace_csv
+from qvisolve.solvers import SolverConfig, solve
 
 L2_DESCRIPTOR = json.dumps({"family": "l2_example", "n": 50, "alpha": 2.0})
 HALFLINE_DESCRIPTOR = json.dumps({
@@ -167,12 +167,28 @@ def test_solve_geometric_x0_beyond_float_range(capsys):
     assert code == 0
 
 
+BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
+
+
 @pytest.mark.parametrize("descriptor,field", [
     ({"family": "l2_example", "n": True}, "n"),
     ({"family": "l2_example", "n": 3, "alpha": "x"}, "alpha"),
     ({"family": "single_set_vi", "n": 2, "set": {"type": "ball", "radius": "r"}},
      "set.radius"),
-], ids=["bool-n", "string-alpha", "string-radius"])
+    ({**BOX2, "operator": {"matrix": [[math.nan, 0.0], [0.0, 1.0]]}}, "operator.matrix"),
+    ({**BOX2, "operator": {"matrix": [[math.inf, 0.0], [0.0, 1.0]]}}, "operator.matrix"),
+    ({**BOX2, "operator": {"offset": [0.0, math.nan]}}, "operator.offset"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "box"}, "shift_offset": math.inf},
+     "shift_offset"),
+    ({"family": "affine", "n": 2, "seed": -1}, "seed"),
+    # declared constants that the matrix contradicts: a skew matrix is not
+    # strongly monotone, and 3*I has norm 3
+    ({**BOX2, "operator": {"matrix": [[0.0, 1.0], [-1.0, 0.0]], "rho": 0.5, "L": 1.0}},
+     "operator.rho"),
+    ({**BOX2, "operator": {"matrix": [[3.0, 0.0], [0.0, 3.0]], "rho": 0.5, "L": 1.0}},
+     "operator.L"),
+], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix", "nan-offset",
+        "inf-shift-offset", "negative-seed", "skew-rho", "identity-L"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])
@@ -281,6 +297,26 @@ def test_compare_halfline_dist_column(capsys):
     assert np.allclose(dists, expected, rtol=1e-12, atol=0.0)
 
 
+def test_compare_rejects_repeated_variant(capsys):
+    code, out, err = run(capsys, [
+        "compare", "--problem", L2_DESCRIPTOR, "--x0", "zeros",
+        "--lambda", "0.1", "--variants", "tseng,extragradient,tseng"])
+    assert code == 1
+    assert out == ""
+    assert "variants" in err
+
+
+def test_compare_numeric_failure_exit_code(capsys):
+    # at lambda = 100 on l2 n=3 the Tseng iterates diverge; the baselines converge
+    code, out, _ = run(capsys, [
+        "compare", "--problem", json.dumps({"family": "l2_example", "n": 3}),
+        "--x0", "geometric", "--lambda", "100"])
+    assert code == 2
+    meta = read_compare_csv(io.StringIO(out))["meta"]
+    assert meta["tseng"].startswith("status=numeric_failure")
+    assert meta["extragradient"].startswith("status=converged")
+
+
 def test_compare_requires_variant(capsys):
     code, _, err = run(capsys, [
         "compare", "--problem", L2_DESCRIPTOR, "--x0", "zeros",
@@ -355,7 +391,7 @@ def test_sweep_records_per_cell_failures(capsys):
     np.array([False, False]),
 ])
 def test_column_formatter_matches_cell(values):
-    assert cli._column(values) == [cli._cell(v) for v in values.tolist()]
+    assert csvio._column(values) == [csvio._cell(v) for v in values.tolist()]
 
 
 def test_sweep_problem_solves_once_per_lambda(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from qvisolve import (
 )
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import norm
-from qvisolve.dynamics import flow_to_csv, read_flow_csv
+from qvisolve.csvio import flow_to_csv, read_flow_csv
 
 from oracles import replay_iterates
 

@@ -15,7 +15,7 @@ import pytest
 from qvisolve import FlowConfig, integrate, make_l2_example
 from qvisolve import cli
 from qvisolve.cli import main
-from qvisolve.dynamics import flow_to_csv
+from qvisolve.csvio import flow_to_csv
 from qvisolve.problems import default_problem_suite
 from qvisolve.solvers import VARIANTS
 

@@ -14,6 +14,7 @@ from qvisolve import (
     solve,
 )
 from qvisolve.problems import (
+    CONSTANT_SLACK,
     AffineMap,
     BallSet,
     BoxSet,
@@ -253,6 +254,9 @@ def test_affine_validation():
         make_affine_qvi(4, seed=0, rho_target=2.0, L_target=1.0, beta=0.0)
     with pytest.raises(ValidationError):
         make_affine_qvi(4, seed=0, rho_target=1.0, L_target=2.0, beta=-0.5)
+    for seed in (-1, True, 1.0):
+        with pytest.raises(ValidationError, match="seed"):
+            make_affine_qvi(4, seed=seed, rho_target=1.0, L_target=2.0, beta=0.0)
 
 
 # ------------------------------------------------- sampled declared constants
@@ -363,6 +367,21 @@ def test_load_descriptor_computes_affine_constants():
     })
     assert p.operator.lipschitz_L == pytest.approx(2.0)
     assert p.operator.strong_rho == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name,bound,sign", [("L", 3.0, -1.0), ("rho", 2.0, 1.0)])
+def test_declared_constants_rounding_slack(name, bound, sign):
+    # diag(3, 2) has norm 3, the bound on L, and 2 is the smallest eigenvalue
+    # of its symmetric part, the bound on rho; the slack is CONSTANT_SLACK * 3
+    def load(value):
+        return load_problem({"family": "single_set_vi", "n": 2, "set": {"type": "box"},
+                             "operator": {"matrix": [[3.0, 0.0], [0.0, 2.0]], name: value}})
+
+    inside = bound + sign * 0.5 * CONSTANT_SLACK * 3.0
+    op = load(inside).operator
+    assert {"L": op.lipschitz_L, "rho": op.strong_rho}[name] == inside
+    with pytest.raises(ValidationError, match=f"operator.{name} "):
+        load(bound + sign * 2.0 * CONSTANT_SLACK * 3.0)
 
 
 def test_load_descriptor_errors(tmp_path):

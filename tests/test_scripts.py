@@ -1,7 +1,7 @@
 import importlib.util
 from pathlib import Path
 
-from qvisolve.cli import read_compare_csv, read_sweep_csv
+from qvisolve.csvio import read_compare_csv, read_sweep_csv
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

@@ -24,7 +24,7 @@ from qvisolve.problems import (
     make_moving_set_problem,
     make_single_set_problem,
 )
-from qvisolve.solvers import read_trace_csv, trace_to_csv
+from qvisolve.csvio import read_trace_csv, trace_to_csv
 
 from oracles import counting_problem, reference_single_set_tseng_step, replay_iterates
 
