@@ -116,13 +116,22 @@ def existence_bounds(gamma):
     """The two upper bounds on l guaranteeing a unique solution, as
     (strict, relaxed) = (1/(gamma*(gamma + sqrt(gamma^2 - 1))), 1/gamma),
     elementwise over gamma. Every gamma must be >= 1 and finite."""
-    gamma = np.asarray(gamma, dtype=float)
-    ok = (gamma >= 1.0) & (gamma < math.inf)
-    if not ok.all():
-        raise ValidationError(f"gamma must be >= 1 and finite, got {float(gamma[~ok][0])!r}")
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
     with np.errstate(over="ignore"):
-        strict = 1.0 / (gamma * (gamma + np.sqrt(gamma * gamma - 1.0)))
-    return strict, 1.0 / gamma
+        return _existence_bounds(np.asarray(gamma, dtype=float)[()])
+
+
+def _existence_bounds(gamma):
+    """existence_bounds of a float array or numpy scalar; gamma^2 may overflow."""
+    ok = (gamma >= 1.0) & (gamma < math.inf)
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() is slow
+        bad = np.asarray(gamma)[~ok]
+        raise ValidationError(f"gamma must be >= 1 and finite, got {float(bad[0])!r}")
+    return 1.0 / (gamma * (gamma + np.sqrt(gamma * gamma - 1.0))), 1.0 / gamma
+
+
+#: argument types that certificate_table takes without broadcasting
+_SCALARS = frozenset((int, float, np.float64))
 
 
 def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
@@ -134,12 +143,17 @@ def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
     default, means no moving set. A negative radicand gives a NaN theta, which
     fails every condition. Squares use float_power, which rounds as libm pow
     (Python's float ** 2) does; x * x can differ in the last bit."""
-    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
-    L, rho, l, lam, beta = (a[()] for a in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (L, rho, l, lam, beta))))
+    args = (L, rho, l, lam, beta)
+    if _SCALARS.issuperset(map(type, args)):
+        # numpy scalars: the same arithmetic as 0-d arrays, without broadcasting
+        L, rho, l, lam, beta = map(np.float64, args)
+    else:
+        # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+        L, rho, l, lam, beta = (a[()] for a in np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in args)))
     with np.errstate(all="ignore"):
         gamma = L / rho
-        existence_bound, nesterov_bound = existence_bounds(gamma)
+        existence_bound, nesterov_bound = _existence_bounds(gamma)
         lamL = lam * L
         rad = 1.0 - 2.0 * lam * rho + np.float_power(lamL, 2.0)
         root = np.sqrt(rad)
@@ -171,19 +185,21 @@ def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
         }
 
 
-def _certificate(table: Dict[str, np.ndarray], i, moving: bool) -> Certificate:
-    """Entry i of a table as plain floats and bools (no moving_rhs unless moving)."""
-    values = {name: float(table[name][i]) for name in _FLOAT_FIELDS}
-    if not moving:
-        values["moving_rhs"] = None
-    return Certificate(**values, **{name: bool(table[name][i]) for name in _FLAG_FIELDS})
+def _certificate(entry: Dict[str, np.generic], moving: bool) -> Certificate:
+    """One table entry, a numpy scalar per field, as plain floats and bools
+    (no moving_rhs unless moving)."""
+    # positional, which is cheaper: Certificate declares its floats first,
+    # then its flags
+    return Certificate(*[float(entry[name]) if name != "moving_rhs" or moving else None
+                         for name in _FLOAT_FIELDS],
+                       *[bool(entry[name]) for name in _FLAG_FIELDS])
 
 
 def full_certificate(c: ProblemConstants) -> Certificate:
     """certificate_table at one constants tuple. moving_rhs/moving_ok are
     populated only when beta is present."""
     beta = math.nan if c.beta is None else c.beta
-    return _certificate(certificate_table(c.L, c.rho, c.l, c.lam, beta), (), c.beta is not None)
+    return _certificate(certificate_table(c.L, c.rho, c.l, c.lam, beta), c.beta is not None)
 
 
 def best_lambda(L: float, rho: float, l: float, grid: int = 1001) -> Tuple[float, Certificate]:
@@ -207,4 +223,4 @@ def best_lambda(L: float, rho: float, l: float, grid: int = 1001) -> Tuple[float
     table = certificate_table(L, rho, l, lams)
     rates = table["rate_r"]
     best = 0 if math.isnan(rates[0]) else int(np.nanargmin(rates))
-    return float(lams[best]), _certificate(table, best, moving=False)
+    return float(lams[best]), _certificate({k: v[best] for k, v in table.items()}, moving=False)

@@ -139,8 +139,9 @@ def cmd_compare(args) -> int:
     problem = load_problem(args.problem)
     x0 = _parse_x0(args.x0, problem.dim)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if not variants or len(set(variants)) < len(variants):
-        raise ValidationError(f"variants: need at least one, each named once, got {args.variants!r}")
+    if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
+        raise ValidationError(f"variants: need at least one of {'/'.join(VARIANTS)}, "
+                              f"each named once, got {args.variants!r}")
     traces = [solve(problem, x0, SolverConfig(lam=args.lam, max_iter=args.max_iter,
                                               tol=args.tol, variant=variant))
               for variant in variants]

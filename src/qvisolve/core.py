@@ -48,8 +48,20 @@ def as_vector(values, dim: Optional[int] = None, name: str = "x") -> Array:
 
 
 def norm(v: Array) -> float:
-    """Euclidean norm sqrt(<v, v>)."""
-    return float(np.linalg.norm(v))
+    """Euclidean norm sqrt(<v, v>) of a 1-D float array; np.linalg.norm
+    computes the same square root of the same dot product."""
+    return math.sqrt(v.dot(v))
+
+
+def require_finite(v: Array, what: str) -> Array:
+    """v, if every entry is finite (else NumericFailure). A non-finite entry
+    makes <v, v> non-finite, so the dot product is the test; only when it
+    fails does the exact entrywise test run, because a finite v whose square
+    overflows is still accepted. The dot product can overflow: callers run
+    under np.errstate(over="ignore", invalid="ignore")."""
+    if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+        raise NumericFailure(f"{what} is not finite")
+    return v
 
 
 def require_positive(value, name: str) -> float:
@@ -68,13 +80,18 @@ def require_count(value, name: str) -> None:
 
 
 def oracle_result(value, dim: int, what: str) -> Array:
-    """Validate an oracle's output: right shape, and finite (else NumericFailure)."""
+    """An oracle's output as a float vector of the right shape (else
+    ValidationError). Finiteness is left to the caller (see the step kernel)."""
     r = np.asarray(value, dtype=float)
     if r.shape != (dim,):
         raise ValidationError(f"{what} returned shape {r.shape}, expected ({dim},)")
-    if not np.isfinite(r).all():
-        raise NumericFailure(f"{what} returned a non-finite value")
     return r
+
+
+#: decorates the one-shot entry points and the solve and flow loops: the dot
+#: products of the finiteness tests, and x - lam*v, may overflow, and the
+#: result is checked instead of warned about
+ignore_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -136,25 +153,34 @@ class QviProblem:
             object.__setattr__(self, "known_solution", sol)
 
 
+# The public one-shot entry points raise NumericFailure for any non-finite
+# oracle output: each checks what it returns, and what it passes on to a
+# second oracle call.
+
+@ignore_overflow
 def evaluate_operator(problem: QviProblem, x) -> Array:
     """F(x). Deterministic for fixed x; rejects dimension mismatches."""
-    return _operator(problem, as_vector(x, problem.dim))
+    return require_finite(_operator(problem, as_vector(x, problem.dim)), "operator oracle output")
 
 
+@ignore_overflow
 def project(problem: QviProblem, x, z) -> Array:
     """P_{K(x)}(z) via the problem's projection oracle."""
     x = as_vector(x, problem.dim, name="x")
     z = as_vector(z, problem.dim, name="z")
-    return oracle_result(problem.constraint.project(x, z), problem.dim, "projection oracle")
+    return require_finite(_project(problem, x, z), "projection oracle output")
 
 
+@ignore_overflow
 def natural_residual(problem: QviProblem, x, lam: float) -> float:
     """||x - P_{K(x)}(x - lam*F(x))||; zero exactly at solutions of the QVI."""
     lam = require_positive(lam, "lambda")
     x = as_vector(x, problem.dim)
-    return norm(x - forward_backward(problem, x, lam)[1])
+    y = forward_backward(problem, x, lam)[1]
+    return norm(x - require_finite(y, "projection oracle output"))
 
 
+@ignore_overflow
 def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     """The forward-backward-forward vector field
 
@@ -164,28 +190,35 @@ def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     operator evaluations; F(x) is reused.
     """
     lam = require_positive(lam, "lambda")
-    return tseng_field(problem, as_vector(x, problem.dim), lam)
+    return require_finite(tseng_field(problem, as_vector(x, problem.dim), lam), "Tseng map")
 
 
-# the step kernel: callers validate x and lam once, at entry; the kernel checks
-# every array that crosses an oracle boundary
+# The step kernel. Callers validate x and lam once, at entry. Every oracle
+# output gets its shape checked here; finiteness is checked only where a value
+# would reach an oracle, through a dot product: the projection argument
+# x - lam*v here, y in tseng_field, and the residual, stage and divergence
+# norms in the solve and flow loops. So no oracle ever receives a non-finite
+# argument, and a non-finite output ends the run at the latest one step on.
 
 def _operator(problem: QviProblem, x: Array) -> Array:
     return oracle_result(problem.operator.func(x), problem.dim, "operator oracle")
 
 
-def _project_step(problem: QviProblem, x: Array, v: Array, lam: float) -> Array:
-    """P_{K(x)}(x - lam*v). The argument is checked because it is the one array
-    computed here that can overflow from finite, checked inputs."""
-    z = x - lam * v
-    if not np.isfinite(z).all():
-        raise NumericFailure("projection argument x - lambda*v is not finite")
+def _project(problem: QviProblem, x: Array, z: Array) -> Array:
     return oracle_result(problem.constraint.project(x, z), problem.dim, "projection oracle")
+
+
+def _project_step(problem: QviProblem, x: Array, v: Array, lam: float) -> Array:
+    """P_{K(x)}(x - lam*v). The argument is checked: v may be a non-finite
+    oracle output, and x - lam*v can overflow from finite inputs."""
+    z = require_finite(x - lam * v, "projection argument x - lambda*v")
+    return _project(problem, x, z)
 
 
 def forward_backward(problem: QviProblem, x: Array, lam: float):
     """(F(x), y) with y = P_{K(x)}(x - lam*F(x)): one operator evaluation and
-    one projection. x must be a finite float vector of the problem's dimension."""
+    one projection. x must be a finite float vector of the problem's dimension;
+    F(x) is checked through the projection argument, y is not checked."""
     Fx = _operator(problem, x)
     return Fx, _project_step(problem, x, Fx, lam)
 
@@ -200,6 +233,8 @@ UPDATES = {
 
 
 def tseng_field(problem: QviProblem, x: Array, lam: float) -> Array:
-    """`tseng_map` for an already validated x and lam."""
+    """`tseng_map` for an already validated x and lam. y is checked before
+    F(y) is called; the returned field is not checked."""
     Fx, y = forward_backward(problem, x, lam)
+    require_finite(y, "projection oracle output")
     return UPDATES["tseng"](problem, x, Fx, y, lam) - x

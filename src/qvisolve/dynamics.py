@@ -26,6 +26,9 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
+    ignore_overflow,
+    norm,
+    require_finite,
     require_positive,
     tseng_field,
     tseng_map,
@@ -126,11 +129,49 @@ def rhs(problem: QviProblem, x, lam: float, t: float = 0.0,
     return v if alpha is None else alpha(t) * v
 
 
+class _Lyapunov:
+    """V = 0.5*||x - x*||^2 along a trajectory. The differences x - x* are
+    buffered and reduced by one einsum per block of rows, a block holding at
+    most EINSUM_BLOCK elements: then each row rounds as a one-row einsum does,
+    and as an einsum over every state at once does when n <= EINSUM_BLOCK.
+    Above that, einsum sums a row in EINSUM_BLOCK-element buffers whose split
+    depends on the number of rows, and a block is one row."""
+
+    EINSUM_BLOCK = 8192
+
+    def __init__(self, xstar: Array):
+        n = xstar.shape[0]
+        self.xstar = xstar
+        self.diffs = np.empty((max(1, self.EINSUM_BLOCK // n), n))
+        self.filled = 0
+        self.V = []  # Python floats: a one-row block costs no array object
+
+    def add(self, x: Array) -> None:
+        np.subtract(x, self.xstar, out=self.diffs[self.filled])
+        self.filled += 1
+        if self.filled == len(self.diffs):
+            self._reduce()
+
+    def _reduce(self) -> None:
+        d = self.diffs[:self.filled]
+        self.V.extend((0.5 * np.einsum("ij,ij->i", d, d)).tolist())
+        self.filled = 0
+
+    def values(self) -> Array:
+        self._reduce()
+        return np.array(self.V)
+
+
+@ignore_overflow
 def integrate(problem: QviProblem, x0, config: FlowConfig,
               keep_states: bool = False) -> FlowTrace:
     """Fixed-step integration from x(0) = x0; t_end is rounded to the nearest
     whole number of steps of size h. Deterministic; numeric failures (NaN/Inf
     or norm beyond the divergence limit) stop early with a partial trace.
+
+    A non-finite oracle output stops the flow before any oracle is called
+    with it: y is checked in tseng_field, each later RK4 stage's argument
+    x + c*h*k here, and each step's result by the divergence guard.
 
     The trace keeps every state only with keep_states (the CSV coordinates
     need them); otherwise memory stays a few n-vectors plus the scalar series.
@@ -144,19 +185,19 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         v = tseng_field(problem, xv, lam)
         return v if alpha is None else alpha(t) * v
 
+    def stage(t, xv):
+        return f(t, require_finite(xv, "RK4 stage state"))
+
+    states = np.empty((nsteps + 1, problem.dim)) if keep_states else None
+    lyapunov = _Lyapunov(xstar) if xstar is not None else None
+
     def record(i, xv):
         if keep_states:
             states[i] = xv
-        if xstar is not None:
-            # a one-row einsum rounds like an einsum over all states at once
-            # when n <= 8192; beyond that einsum sums a row in 8192-element
-            # buffers whose split depends on the number of rows
-            d = (xv - xstar)[None]
-            Vs.append(0.5 * np.einsum("ij,ij->i", d, d)[0])
+        if lyapunov is not None:
+            lyapunov.add(xv)
 
-    states = np.empty((nsteps + 1, problem.dim)) if keep_states else None
     ts = [0.0]
-    Vs = []
     record(0, x)
     status = "completed"
     try:
@@ -166,11 +207,11 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
                 x_next = x + h * f(t, x)
             else:
                 k1 = f(t, x)
-                k2 = f(t + h / 2.0, x + (h / 2.0) * k1)
-                k3 = f(t + h / 2.0, x + (h / 2.0) * k2)
-                k4 = f(t + h, x + h * k3)
+                k2 = stage(t + h / 2.0, x + (h / 2.0) * k1)
+                k3 = stage(t + h / 2.0, x + (h / 2.0) * k2)
+                k4 = stage(t + h, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.linalg.norm(x_next) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
+            if not norm(x_next) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
                 status = "numeric_failure"
                 break
             x = x_next
@@ -183,15 +224,14 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     xarr = states[:len(ts)] if keep_states else x[None]
     cert = certify.full_certificate(certify.ProblemConstants.of(problem, lam))
     V = envelope = None
-    if xstar is not None:
-        V = np.array(Vs)
+    if lyapunov is not None:
+        V = lyapunov.values()
         if alpha is None:
             scaled_time = tarr
         else:
             scaled_time = np.array([alpha.integral(tv) for tv in tarr])
-        # with a positive exponent the bound can overflow to inf; that is the
-        # honest value of the envelope there
-        with np.errstate(over="ignore"):
-            envelope = V[0] * np.exp(cert.Lambda * scaled_time)
+        # with a positive exponent the bound can overflow to inf, which is the
+        # honest value of the envelope there (NaN where V[0] = 0)
+        envelope = V[0] * np.exp(cert.Lambda * scaled_time)
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
                      Lambda=cert.Lambda, status=status)

@@ -347,7 +347,8 @@ def _set_from_descriptor(n: int, doc: dict, key: str):
     if kind == "box":
         return BoxSet(_array(d, "lo", -np.inf, (n,), where), _array(d, "hi", np.inf, (n,), where))
     if kind == "ball":
-        return BallSet(_array(d, "center", 0.0, (n,), where), _number(d, "radius", 1.0, where=where))
+        center = as_vector(_array(d, "center", 0.0, (n,), where), n, where + "center")
+        return BallSet(center, _number(d, "radius", 1.0, where=where))
     raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
 
 
@@ -373,7 +374,8 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
                               f"matrix's symmetric part, {eig_min!r}")
     if rho <= 0:
         raise ValidationError(
-            f"operator is not strongly monotone (min symmetric eigenvalue {rho:g})"
+            f"operator.rho must be positive, got {rho!r}" if d.get("rho") is not None
+            else f"operator is not strongly monotone (min symmetric eigenvalue {rho:g})"
         )
     return OperatorSpec(AffineMap(matrix, offset), lipschitz_L=L, strong_rho=rho)
 

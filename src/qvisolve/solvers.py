@@ -15,6 +15,7 @@ it adds no oracle calls.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -29,8 +30,10 @@ from .core import (
     ValidationError,
     as_vector,
     forward_backward,
+    ignore_overflow,
     norm,
     require_count,
+    require_finite,
     require_positive,
 )
 from .csvio import read_trace_csv  # noqa: F401  (bench/workloads.py imports it from here)
@@ -101,11 +104,13 @@ class IterationTrace:
         ])
 
 
+@ignore_overflow
 def _step(variant: str, problem: QviProblem, x, lam: float):
     lam = require_positive(lam, "lambda")
     x = as_vector(x, problem.dim)
     Fx, y = forward_backward(problem, x, lam)
-    return y, UPDATES[variant](problem, x, Fx, y, lam)
+    require_finite(y, "projection oracle output")
+    return y, require_finite(UPDATES[variant](problem, x, Fx, y, lam), "next iterate")
 
 
 def tseng_step(problem: QviProblem, x, lam: float):
@@ -138,6 +143,7 @@ def _empirical_rate(records: List[IterationRecord], use_dist: bool) -> Optional[
     return float(np.exp(np.mean(np.log(ratios))))
 
 
+@ignore_overflow
 def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     """Run the selected variant from x0 until the natural residual drops to
     config.tol or config.max_iter steps have been taken.
@@ -150,6 +156,11 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     certificate_warning is set when the discrete sufficient condition fails at
     this step size; the run proceeds regardless. Deterministic: identical
     inputs give identical traces bit for bit.
+
+    A non-finite oracle output ends the run with numeric_failure before any
+    oracle is called with it: F(x_k) through the projection argument, y_k
+    through the residual before its record is appended, and F(y_k) or the
+    second projection through the next iterate's divergence guard.
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
     cert = certify.full_certificate(certify.ProblemConstants.of(problem, config.lam))
@@ -169,6 +180,8 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
         for k in range(config.max_iter + 1):
             Fx, y = forward_backward(problem, x, lam)
             residual = norm(x - y)
+            if not math.isfinite(residual):  # y is not finite, or x - y overflowed
+                require_finite(y, "projection oracle output")
             dist = norm(x - xstar) if xstar is not None else None
             records.append(IterationRecord(k, None, None, residual, dist))
             last = x, y

@@ -6,6 +6,8 @@ and the reference step below is a separate transcription of the single-set
 scheme. Counting wrappers instrument a problem's oracles for the
 work-accounting tests. `replay_iterates` rebuilds the iterates a solve trace
 does not keep, with the public step functions, to check its bookkeeping.
+`poisoned_problem` returns a non-finite value from one chosen oracle call and
+records every argument, so a test can check that none reached an oracle.
 """
 
 import numpy as np
@@ -72,6 +74,37 @@ def counting_problem(problem: QviProblem):
         name=problem.name + "+counting",
     )
     return wrapped, counts
+
+
+def poisoned_problem(oracle, nth, value, dim=1, entry=0):
+    """F(x) = x on K = {z >= 1}, except that the nth call of `oracle`
+    ("operator" or "projection") returns `value` at coordinate `entry`; nth = 0
+    poisons nothing. Returns (problem, received): received[name] holds a copy
+    of every argument array that oracle was called with."""
+    received = {"operator": [], "projection": []}
+
+    def call(name, out, *args):
+        received[name].extend(np.array(a, dtype=float) for a in args)
+        calls = len(received[name]) // len(args)
+        if name == oracle and calls == nth:
+            out = np.array(out, dtype=float)
+            out[entry] = value
+        return out
+
+    problem = QviProblem(
+        operator=OperatorSpec(lambda x: call("operator", x, x), 1.0, 1.0),
+        constraint=ConstraintSpec(
+            lambda x, z: call("projection", np.maximum(z, 1.0), x, z), 0.0),
+        dim=dim,
+    )
+    return problem, received
+
+
+def assert_finite_arguments(received):
+    """No oracle of a `poisoned_problem` was called with a non-finite array."""
+    for name, args in received.items():
+        for a in args:
+            assert np.isfinite(a).all(), f"{name} oracle received {a}"
 
 
 def reference_single_set_tseng_step(base_projection, operator, x, lam):

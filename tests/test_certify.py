@@ -157,6 +157,31 @@ def test_certificate_matches_oracle_on_random_tuples():
             assert rel_err(getattr(cert, name), ref[name]) <= 1e-12, name
 
 
+def test_scalar_certificate_matches_broadcast_table():
+    # full_certificate takes certificate_table's scalar path; each field has
+    # the bits of the same entry of the table computed over arrays, at
+    # ordinary and at overflowing magnitudes, with and without beta
+    rng = np.random.default_rng(77)
+    n = 2000
+    L = 10.0 ** rng.uniform(-200, 200, n)
+    rho = L * rng.uniform(1e-3, 1.0, n)
+    l = rng.choice([0.0, 0.5, 1e200], n) * rng.uniform(0.0, 2.0, n)
+    lam = 10.0 ** rng.uniform(-200, 200, n)
+    beta = np.where(rng.random(n) < 0.5, np.nan, rng.uniform(0.0, 2.0, n))
+    table = certify.certificate_table(L, rho, l, lam, beta)
+    for i in range(n):
+        b = None if math.isnan(beta[i]) else float(beta[i])
+        cert = full_certificate(ProblemConstants(L=float(L[i]), rho=float(rho[i]),
+                                                 l=float(l[i]), lam=float(lam[i]), beta=b))
+        for name in certify._FLOAT_FIELDS + certify._FLAG_FIELDS:
+            value = getattr(cert, name)
+            if value is None:
+                assert name == "moving_rhs" and b is None
+                continue
+            expected = table[name][i]
+            assert np.array(value, dtype=expected.dtype).tobytes() == expected.tobytes(), (i, name)
+
+
 def test_rate_below_one_implies_positive_mu():
     rng = np.random.default_rng(99)
     for _ in range(1000):

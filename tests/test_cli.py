@@ -150,11 +150,36 @@ def test_solve_projection_argument_overflow_exit_code(capsys):
     problem = json.dumps({"family": "single_set_vi", "n": 1,
                           "set": {"type": "box", "lo": -1.0, "hi": 1.0},
                           "operator": {"matrix": [[1e300]]}})
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
         code, out, _ = run(capsys, ["solve", "--problem", problem, "--x0", "1",
                                     "--lambda", "1e10"])
     assert code == 2
     assert read_trace_csv(io.StringIO(out))["status"] == "numeric_failure"
+
+
+OVERFLOW_PROBLEMS = {
+    # alpha*x overflows in the operator oracle
+    "l2-alpha": ({"family": "l2_example", "n": 3, "alpha": 1e308}, "1,1,1", "0.1"),
+    # x - lambda*F(x) overflows in the projection argument
+    "offset": ({"family": "single_set_vi", "n": 2, "set": {"type": "box"},
+                "operator": {"offset": [1e308, 0]}}, "1,1", "10"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "flow-euler", "flow-rk4"])
+@pytest.mark.parametrize("case", list(OVERFLOW_PROBLEMS))
+def test_overflow_is_a_numeric_failure_without_runtime_warning(capsys, case, command):
+    descriptor, x0, lam = OVERFLOW_PROBLEMS[case]
+    argv = [command.split("-")[0], "--problem", json.dumps(descriptor), "--x0", x0,
+            "--lambda", lam]
+    if command.startswith("flow"):
+        argv += ["--h", "0.1", "--t-end", "1", "--scheme", command.split("-")[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "RuntimeWarning" not in err
 
 
 def test_solve_geometric_x0_beyond_float_range(capsys):
@@ -187,8 +212,14 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
      "operator.rho"),
     ({**BOX2, "operator": {"matrix": [[3.0, 0.0], [0.0, 3.0]], "rho": 0.5, "L": 1.0}},
      "operator.L"),
+    ({**BOX2, "operator": {"rho": -1}}, "operator.rho"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "ball", "center": [math.nan, 0.0]}},
+     "set.center"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "ball", "center": math.nan}},
+     "base_set.center"),
 ], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix", "nan-offset",
-        "inf-shift-offset", "negative-seed", "skew-rho", "identity-L"])
+        "inf-shift-offset", "negative-seed", "skew-rho", "identity-L", "negative-rho",
+        "nan-ball-center", "nan-base-ball-center"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])
@@ -304,6 +335,17 @@ def test_compare_rejects_repeated_variant(capsys):
     assert code == 1
     assert out == ""
     assert "variants" in err
+
+
+def test_compare_rejects_unknown_variant_before_solving(capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(cli, "solve", lambda *args: solved.append(args))
+    code, out, err = run(capsys, [
+        "compare", "--problem", L2_DESCRIPTOR, "--x0", "zeros",
+        "--lambda", "0.1", "--variants", "tseng,foo"])
+    assert code == 1
+    assert out == "" and solved == []
+    assert "variants" in err and "foo" in err
 
 
 def test_compare_numeric_failure_exit_code(capsys):

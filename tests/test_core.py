@@ -10,14 +10,19 @@ from qvisolve import (
     QviProblem,
     ValidationError,
     evaluate_operator,
+    extragradient_step,
+    gradient_projection_step,
     natural_residual,
     norm,
     project,
     tseng_map,
+    tseng_step,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector
 from qvisolve.problems import AffineMap, make_l2_example
+
+from oracles import assert_finite_arguments, poisoned_problem
 
 
 # ---------------------------------------------------------------- validation
@@ -87,6 +92,34 @@ def test_nan_oracle_raises_numeric_failure():
     problem = QviProblem(op, ConstraintSpec(lambda x, z: z, 0.0), dim=2)
     with pytest.raises(NumericFailure):
         evaluate_operator(problem, np.ones(2))
+
+
+# public one-shot entry point -> (call, operator calls, projection calls)
+ONE_SHOT = {
+    "evaluate_operator": (evaluate_operator, 1, 0),
+    "project": (lambda p, x: project(p, x, x), 0, 1),
+    "natural_residual": (lambda p, x: natural_residual(p, x, 0.1), 1, 1),
+    "tseng_map": (lambda p, x: tseng_map(p, x, 0.1), 2, 1),
+    "tseng_step": (lambda p, x: tseng_step(p, x, 0.1), 2, 1),
+    "gradient_projection_step": (lambda p, x: gradient_projection_step(p, x, 0.1), 1, 1),
+    "extragradient_step": (lambda p, x: extragradient_step(p, x, 0.1), 2, 2),
+}
+ONE_SHOT_CALLS = [
+    (name, oracle, nth)
+    for name, (_, n_operator, n_projection) in ONE_SHOT.items()
+    for oracle, count in (("operator", n_operator), ("projection", n_projection))
+    for nth in range(1, count + 1)
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name,oracle,nth", ONE_SHOT_CALLS,
+                         ids=[f"{e}-{o}{n}" for e, o, n in ONE_SHOT_CALLS])
+def test_one_shot_entry_points_reject_non_finite_oracle_output(name, oracle, nth, value):
+    problem, received = poisoned_problem(oracle, nth, value, dim=3, entry=1)
+    with pytest.raises(NumericFailure):
+        ONE_SHOT[name][0](problem, np.array([2.0, 2.5, 3.0]))
+    assert_finite_arguments(received)
 
 
 # ---------------------------------------------------------------- projection

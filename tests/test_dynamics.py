@@ -12,6 +12,7 @@ from qvisolve import (
     SolverConfig,
     ValidationError,
     integrate,
+    make_l2_example,
     natural_residual,
     rhs,
     solve,
@@ -21,7 +22,7 @@ from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import norm
 from qvisolve.csvio import flow_to_csv, read_flow_csv
 
-from oracles import replay_iterates
+from oracles import assert_finite_arguments, poisoned_problem, replay_iterates
 
 
 # ------------------------------------------------------------- alpha schedule
@@ -206,6 +207,32 @@ def test_integrate_divergence_guard(halfline):
     assert len(trace.t) < 11
 
 
+# scheme -> (operator calls, projection calls) per step
+CALLS_PER_STEP = {"euler": (2, 1), "rk4": (8, 4)}
+FLOW_POISON = [
+    (scheme, oracle, nth)
+    for scheme, counts in CALLS_PER_STEP.items()
+    for oracle, per_step in zip(("operator", "projection"), counts)
+    for nth in range(1, 2 * per_step + 1)
+]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("scheme,oracle,nth", FLOW_POISON,
+                         ids=[f"{s}-{o}{n}" for s, o, n in FLOW_POISON])
+def test_integrate_non_finite_at_each_stage(scheme, oracle, nth, value, dim):
+    # a poisoned call in step i (every stage of the first two steps) leaves
+    # the states before it, and no oracle sees a non-finite argument
+    problem, received = poisoned_problem(oracle, nth, value, dim=dim, entry=dim // 2)
+    trace = integrate(problem, np.linspace(2.0, 3.0, dim),
+                      FlowConfig(lam=0.1, h=0.1, t_end=1.0, scheme=scheme))
+    assert trace.status == "numeric_failure"
+    per_step = CALLS_PER_STEP[scheme][oracle == "projection"]
+    assert len(trace.t) == 1 + (nth - 1) // per_step
+    assert_finite_arguments(received)
+
+
 def test_integrate_rejects_scalar_operator_output():
     problem = QviProblem(OperatorSpec(lambda x: 1.0, 1.0, 1.0),
                          ConstraintSpec(lambda x, z: z, 0.0), dim=3)
@@ -231,6 +258,20 @@ def test_states_kept_only_on_request(l2_problem, geometric_x0):
     assert endpoint.x.shape == (1, 50)
     assert np.array_equal(endpoint.x[-1], full.x[-1])
     assert np.array_equal(endpoint.t, full.t) and np.array_equal(endpoint.V, full.V)
+
+
+@pytest.mark.parametrize("n,steps", [(50, 400), (3000, 7), (9000, 3)])
+def test_lyapunov_blocks_round_as_single_rows(n, steps):
+    # V is reduced in einsum blocks of at most 8192 elements (163 rows at
+    # n = 50, 2 at n = 3000, 1 above 8192); each value has the bits of a
+    # one-row einsum of its own state, whatever block it fell in
+    problem = make_l2_example(n)
+    trace = integrate(problem, np.full(n, 1.0 / np.sqrt(n)),
+                      FlowConfig(lam=0.1, h=0.01, t_end=0.01 * steps), keep_states=True)
+    assert len(trace.t) == steps + 1
+    for x, v in zip(trace.x, trace.V):
+        d = (x - problem.known_solution)[None]
+        assert v == 0.5 * np.einsum("ij,ij->i", d, d)[0]
 
 
 def test_flow_trace_invariants(l2_problem, geometric_x0):

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from qvisolve.problems import (
 )
 from qvisolve.csvio import read_trace_csv, trace_to_csv
 
-from oracles import counting_problem, reference_single_set_tseng_step, replay_iterates
+from oracles import (
+    assert_finite_arguments,
+    counting_problem,
+    poisoned_problem,
+    reference_single_set_tseng_step,
+    replay_iterates,
+)
 
 # frozen pre-build oracle values for the sequence-space single step at
 # x = (1, 0, ...), lambda = 0.1, alpha = 2
@@ -294,6 +301,23 @@ def test_solve_nan_at_each_oracle_position(variant, oracle, nth):
     replay_iterates(clean, [2.0], trace)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("variant,oracle,nth", list(NAN_ORACLE_OUTCOMES),
+                         ids=[f"{v}-{o}{n}" for v, o, n in NAN_ORACLE_OUTCOMES])
+def test_solve_non_finite_entry_at_each_oracle_position(variant, oracle, nth, value, dim):
+    # one poisoned entry gives the outcome a wholly NaN output gives, and no
+    # oracle is ever called with a non-finite argument
+    x0 = np.linspace(2.0, 3.0, dim)
+    config = SolverConfig(lam=0.1, max_iter=50, tol=1e-14, variant=variant)
+    problem, received = poisoned_problem(oracle, nth, value, dim=dim, entry=dim // 2)
+    trace = solve(problem, x0, config)
+    assert trace.status == "numeric_failure"
+    assert len(trace.records) == NAN_ORACLE_OUTCOMES[variant, oracle, nth]
+    assert_finite_arguments(received)
+    replay_iterates(poisoned_problem(oracle, 0, value, dim=dim)[0], x0, trace)
+
+
 def test_solve_projection_argument_overflow():
     # F(x) = 1e300*x is finite at x = 1, but x - 1e10*F(x) overflows
     problem = QviProblem(
@@ -301,7 +325,8 @@ def test_solve_projection_argument_overflow():
         constraint=ConstraintSpec(lambda x, z: np.clip(z, -1.0, 1.0), 0.0),
         dim=1,
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
         trace = solve(problem, [1.0], SolverConfig(lam=1e10))
     assert trace.status == "numeric_failure"
     assert trace.records == []
