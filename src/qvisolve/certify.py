@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,20 +35,9 @@ class ProblemConstants:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValidationError(f"L must be positive and finite, got {self.L!r}")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ValidationError(f"rho must be positive and finite, got {self.rho!r}")
-        if self.rho > self.L:
-            raise ValidationError(f"rho exceeds L (rho={self.rho}, L={self.L})")
-        if not (math.isfinite(self.l) and self.l >= 0):
-            raise ValidationError(f"l must be nonnegative and finite, got {self.l!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"lambda must be positive and finite, got {self.lam!r}")
-        if self.beta is not None and not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValidationError(f"beta must be nonnegative and finite, got {self.beta!r}")
-        if not self.L / self.rho < math.inf:
-            raise ValidationError(f"gamma must be >= 1 and finite, got {self.L / self.rho!r}")
+        error = constant_errors(self.L, self.rho, (self.lam,), (self.l,), (self.beta,))[0, 0, 0]
+        if error is not None:
+            raise ValidationError(error)
 
     @classmethod
     def of(cls, problem: QviProblem, lam: float) -> "ProblemConstants":
@@ -112,22 +101,35 @@ _FLAG_FIELDS = tuple(f.name for f in fields(Certificate) if f.type == "bool")
 _FLOAT_FIELDS = tuple(f.name for f in fields(Certificate) if f.type != "bool")
 
 
-def existence_bounds(gamma):
-    """The two upper bounds on l guaranteeing a unique solution, as
-    (strict, relaxed) = (1/(gamma*(gamma + sqrt(gamma^2 - 1))), 1/gamma),
-    elementwise over gamma. Every gamma must be >= 1 and finite."""
-    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
-    with np.errstate(over="ignore"):
-        return _existence_bounds(np.asarray(gamma, dtype=float)[()])
-
-
-def _existence_bounds(gamma):
-    """existence_bounds of a float array or numpy scalar; gamma^2 may overflow."""
-    ok = (gamma >= 1.0) & (gamma < math.inf)
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() is slow
-        bad = np.asarray(gamma)[~ok]
-        raise ValidationError(f"gamma must be >= 1 and finite, got {float(bad[0])!r}")
-    return 1.0 / (gamma * (gamma + np.sqrt(gamma * gamma - 1.0))), 1.0 / gamma
+def constant_errors(L, rho, lams: Sequence, ls: Sequence, betas: Sequence) -> np.ndarray:
+    """The first check that ProblemConstants(L, rho, l, lam, beta) fails, as
+    its error text, or None, for every cell of the product lams x ls x betas:
+    an object array of shape (len(lams), len(ls), len(betas)). Each check runs
+    once per axis value. In order: L and rho positive and finite, rho <= L,
+    l >= 0, lam > 0 and beta >= 0 (unless None), each finite, and a finite
+    gamma = L/rho."""
+    errors = np.empty((len(lams), len(ls), len(betas)), dtype=object)  # all None
+    if not (math.isfinite(L) and L > 0):
+        errors[...] = f"L must be positive and finite, got {L!r}"
+    elif not (math.isfinite(rho) and rho > 0):
+        errors[...] = f"rho must be positive and finite, got {rho!r}"
+    elif rho > L:
+        errors[...] = f"rho exceeds L (rho={rho}, L={L})"
+    else:
+        # a later check overwrites an earlier one's cells, so the last written
+        # is the first in the order above
+        if not L / rho < math.inf:
+            errors[...] = f"gamma must be >= 1 and finite, got {L / rho!r}"
+        for k, beta in enumerate(betas):
+            if beta is not None and not (math.isfinite(beta) and beta >= 0):
+                errors[:, :, k] = f"beta must be nonnegative and finite, got {beta!r}"
+        for i, lam in enumerate(lams):
+            if not (math.isfinite(lam) and lam > 0):
+                errors[i] = f"lambda must be positive and finite, got {lam!r}"
+        for j, l in enumerate(ls):
+            if not (math.isfinite(l) and l >= 0):
+                errors[:, j] = f"l must be nonnegative and finite, got {l!r}"
+    return errors
 
 
 #: argument types that certificate_table takes without broadcasting
@@ -153,7 +155,13 @@ def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
             *(np.asarray(v, dtype=float) for v in args)))
     with np.errstate(all="ignore"):
         gamma = L / rho
-        existence_bound, nesterov_bound = _existence_bounds(gamma)
+        ok = (gamma >= 1.0) & (gamma < math.inf)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() is slow
+            bad = np.asarray(gamma)[~ok]
+            raise ValidationError(f"gamma must be >= 1 and finite, got {float(bad[0])!r}")
+        # the strict and the relaxed upper bound on l for a unique solution
+        existence_bound = 1.0 / (gamma * (gamma + np.sqrt(gamma * gamma - 1.0)))
+        nesterov_bound = 1.0 / gamma
         lamL = lam * L
         rad = 1.0 - 2.0 * lam * rho + np.float_power(lamL, 2.0)
         root = np.sqrt(rad)

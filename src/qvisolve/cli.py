@@ -18,7 +18,6 @@ A full run configuration can also be supplied as a JSON document via
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -26,12 +25,12 @@ from typing import IO, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .certify import ProblemConstants, certificate_table, full_certificate
+from .certify import ProblemConstants, certificate_table, constant_errors, full_certificate
 from .core import NumericFailure, ValidationError, as_vector
 from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_csv,
                     sweep_to_csv, trace_to_csv, write_lines)
 from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
-from .dynamics import AlphaSchedule, FlowConfig, integrate
+from .dynamics import SCHEMES, AlphaSchedule, FlowConfig, integrate
 from .problems import load_problem
 from .solvers import STATUS_NUMERIC_FAILURE, VARIANTS, SolverConfig, solve
 
@@ -174,18 +173,13 @@ def cmd_sweep(args) -> int:
     problem = load_problem(args.problem) if args.problem else None
     x0 = None if problem is None else _parse_x0(args.x0, problem.dim)
 
-    cells = list(itertools.product(lam_grid, l_grid, beta_grid))
-    status = []
-    for lam, l, beta in cells:
-        try:
-            ProblemConstants(L=args.L, rho=args.rho, l=l, lam=lam, beta=beta)
-            status.append("ok")
-        except ValidationError as exc:
-            status.append(error_status(exc))
-    valid = [i for i, s in enumerate(status) if s == "ok"]
+    errors = constant_errors(args.L, args.rho, lam_grid, l_grid, beta_grid)
+    status = ["ok" if e is None else error_status(e) for e in errors.ravel().tolist()]
+    ok = np.equal(errors, None)
+    valid = np.flatnonzero(ok)
     # one table call over the valid cells; a None beta becomes its NaN
-    lam_v, l_v, beta_v = (np.array([cells[i][axis] for i in valid], dtype=float)
-                          for axis in range(3))
+    lam_v, l_v, beta_v = (axis[ok] for axis in np.meshgrid(
+        *(np.array(grid, dtype=float) for grid in (lam_grid, l_grid, beta_grid)), indexing="ij"))
     table = certificate_table(args.L, args.rho, l_v, lam_v, beta_v)
     columns = {name: table[name] for name in SWEEP_COLUMNS}
     if problem is not None:
@@ -193,14 +187,14 @@ def cmd_sweep(args) -> int:
         # lambda shares its outcome; valid lambdas are positive and finite,
         # so equal keys mean equal bits
         outcomes, rates = {}, []
-        for i in valid:
-            lam = cells[i][0]
+        for i, lam in zip(valid.tolist(), lam_v.tolist()):
             if lam not in outcomes:
                 try:
                     trace = solve(problem, x0, SolverConfig(
                         lam=lam, max_iter=args.max_iter, tol=args.tol, variant=args.variant))
-                    outcomes[lam] = ("numeric_failure" if trace.status == STATUS_NUMERIC_FAILURE
-                                     else "ok", trace.empirical_rate)
+                    outcomes[lam] = (STATUS_NUMERIC_FAILURE
+                                     if trace.status == STATUS_NUMERIC_FAILURE else "ok",
+                                     trace.empirical_rate)
                 except (ValidationError, NumericFailure) as exc:
                     outcomes[lam] = (error_status(exc), None)
             status[i], rate = outcomes[lam]
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, required=True, help="time step")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--scheme", choices=("euler", "rk4"), default="euler")
+    p.add_argument("--scheme", choices=SCHEMES, default="euler")
     p.add_argument("--alpha", default=None,
                    help="time scaling: constant ('2.0') or table ('0:1,5:0.5')")
     p.add_argument("--coords", action="store_true", help="include coordinates in the CSV")

@@ -99,16 +99,18 @@ def flow_to_csv(trace, out: Sink, include_coords: bool = False) -> None:
                  header, rows)
 
 
-def error_status(exc: Exception) -> str:
-    """A failed sweep cell's status; commas become ';' so the row stays splittable."""
-    return f"error: {exc}".replace(",", ";")
+def error_status(error: Union[Exception, str]) -> str:
+    """A failed sweep cell's status, from its error or the error's text; commas
+    become ';' so the row stays splittable."""
+    return f"error: {error}".replace(",", ";")
 
 
-def sweep_to_csv(out: Sink, L: float, rho: float, axes: dict, table: dict, valid: List[int],
+def sweep_to_csv(out: Sink, L: float, rho: float, axes: dict, table: dict, valid: np.ndarray,
                  status: List[str]) -> None:
     """One row per cell of the product of the axes (name -> grid): its axis
-    values, each table column (name -> array over the valid cells; empty
-    elsewhere) and its status, under a summary of the condition counts."""
+    values, each table column (name -> array over the valid cells, whose flat
+    indices are valid; empty elsewhere) and its status, under a summary of the
+    condition counts."""
     total = len(status)
     # each axis value is formatted once, each table column once per distinct value
     columns = list(zip(*itertools.product(*([_cell(v) for v in grid] for grid in axes.values()))))

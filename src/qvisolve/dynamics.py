@@ -31,10 +31,9 @@ from .core import (
     require_finite,
     require_positive,
     tseng_field,
-    tseng_map,
 )
 from .csvio import read_flow_csv  # noqa: F401  (bench/workloads.py imports it from here)
-from .solvers import DIVERGENCE_LIMIT
+from .solvers import DIVERGENCE_LIMIT, STATUS_NUMERIC_FAILURE
 
 SCHEMES = ("euler", "rk4")
 
@@ -122,13 +121,6 @@ class FlowTrace:
     status: str
 
 
-def rhs(problem: QviProblem, x, lam: float, t: float = 0.0,
-        alpha: Optional[AlphaSchedule] = None) -> Array:
-    """alpha(t) * f(x) with f the Tseng-type vector field; alpha omitted means 1."""
-    v = tseng_map(problem, x, lam)
-    return v if alpha is None else alpha(t) * v
-
-
 class _Lyapunov:
     """V = 0.5*||x - x*||^2 along a trajectory. The differences x - x* are
     buffered and reduced by one einsum per block of rows, a block holding at
@@ -212,13 +204,13 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
                 k4 = stage(t + h, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not norm(x_next) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
-                status = "numeric_failure"
+                status = STATUS_NUMERIC_FAILURE
                 break
             x = x_next
             ts.append((i + 1) * h)
             record(i + 1, x)
     except NumericFailure:
-        status = "numeric_failure"
+        status = STATUS_NUMERIC_FAILURE
 
     tarr = np.array(ts)
     xarr = states[:len(ts)] if keep_states else x[None]
@@ -231,7 +223,9 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         else:
             scaled_time = np.array([alpha.integral(tv) for tv in tarr])
         # with a positive exponent the bound can overflow to inf, which is the
-        # honest value of the envelope there (NaN where V[0] = 0)
-        envelope = V[0] * np.exp(cert.Lambda * scaled_time)
+        # honest value of the envelope there (NaN where V[0] = 0); the exponent
+        # is 0 where the scaled time is, as Lambda * 0 is NaN for an infinite Lambda
+        exponent = np.where(scaled_time == 0.0, 0.0, cert.Lambda * scaled_time)
+        envelope = V[0] * np.exp(exponent)
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
                      Lambda=cert.Lambda, status=status)

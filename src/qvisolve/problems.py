@@ -15,6 +15,7 @@ Problem descriptors can also be loaded from JSON; see `load_problem`.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -364,7 +365,12 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
                               f"got shape {matrix.shape}")
     offset = as_vector(_array(d, "offset", np.zeros(n), where=where), n, "operator.offset")
     sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    eig_min = float(np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0])
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (matrix + matrix.T)
+    if not (math.isfinite(sigma) and np.isfinite(sym).all()):
+        raise ValidationError("operator.matrix is too large: its norm or its symmetric part "
+                              "overflows the float range")
+    eig_min = float(np.linalg.eigvalsh(sym)[0])
     L = _number(d, "L", sigma, where=where)
     rho = _number(d, "rho", eig_min, where=where)
     if L < (1.0 - CONSTANT_SLACK) * sigma:

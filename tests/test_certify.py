@@ -11,7 +11,7 @@ from qvisolve.certify import (
     Certificate,
     ProblemConstants,
     best_lambda,
-    existence_bounds,
+    certificate_table,
     full_certificate,
 )
 
@@ -64,31 +64,37 @@ def test_radicand_minimized_at_vertex():
 
 # ---------------------------------------------------------- existence bounds
 
+def uniqueness_bounds(gamma):
+    """The (strict, relaxed) bounds on l: the table's existence_bound and
+    nesterov_bound at L = gamma, rho = 1."""
+    table = certificate_table(gamma, 1.0, 0.0, 0.1)
+    return table["existence_bound"], table["nesterov_bound"]
+
+
 def test_existence_bounds_values():
-    assert existence_bounds(1.0) == (1.0, 1.0)
-    strict, relaxed = existence_bounds(2.0)
+    assert uniqueness_bounds(1.0) == (1.0, 1.0)
+    strict, relaxed = uniqueness_bounds(2.0)
     assert strict == pytest.approx(0.13397459621556135324, rel=1e-14)
     assert relaxed == 0.5
-    strict, relaxed = existence_bounds(3.0)
+    strict, relaxed = uniqueness_bounds(3.0)
     assert strict == pytest.approx(0.057190958417936634132, rel=1e-14)
     assert relaxed == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_existence_bounds_reject_gamma_below_one():
     with pytest.raises(ValidationError):
-        existence_bounds(0.99)
+        uniqueness_bounds(0.99)
 
 
 @given(st.floats(min_value=1.0, max_value=100.0))
 def test_strict_bound_below_relaxed(gamma):
-    strict, relaxed = existence_bounds(gamma)
+    strict, relaxed = uniqueness_bounds(gamma)
     assert strict <= relaxed + 1e-15
 
 
 def test_strict_bound_nonincreasing_in_gamma():
-    gammas = np.linspace(1.0, 20.0, 200)
-    values = [existence_bounds(g)[0] for g in gammas]
-    assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+    strict, _ = uniqueness_bounds(np.linspace(1.0, 20.0, 200))
+    assert np.all(np.diff(strict) <= 1e-15)
 
 
 # ------------------------------------------------------------ full_certificate
@@ -245,6 +251,23 @@ def test_constants_validation_messages():
         ProblemConstants(L=1.0, rho=1.0, l=0.0, lam=0.1, beta=-1.0)
     with pytest.raises(ValidationError, match="gamma must be >= 1 and finite, got inf"):
         ProblemConstants(L=1.0, rho=1e-320, l=0.0, lam=0.1)
+
+
+def test_constant_errors_give_each_cell_its_first_failed_check():
+    # gamma = 1e10 / 1e-320 overflows, so every cell fails at least that check
+    errors = certify.constant_errors(1e10, 1e-320, [0.1, -1.0], [0.0, math.nan], [None, -1.0])
+    assert errors.shape == (2, 2, 2)
+    lam_ok, lam_bad = errors
+    assert lam_ok[0, 0].startswith("gamma")
+    assert lam_ok[0, 1].startswith("beta")
+    assert lam_bad[0, 1].startswith("lambda")  # lambda comes before beta
+    assert all(cell.startswith("l must") for cell in errors[:, 1].ravel())  # l before lambda
+    for (i, j, k), error in np.ndenumerate(errors):
+        lam, l, beta = (0.1, -1.0)[i], (0.0, math.nan)[j], (None, -1.0)[k]
+        with pytest.raises(ValidationError) as exc:
+            ProblemConstants(L=1e10, rho=1e-320, l=l, lam=lam, beta=beta)
+        assert str(exc.value) == error
+    assert np.equal(certify.constant_errors(3.0, 1.0, [0.1], [0.0, 0.1], [None]), None).all()
 
 
 def test_certificate_serialization_round_trip():

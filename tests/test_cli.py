@@ -202,6 +202,9 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
      "set.radius"),
     ({**BOX2, "operator": {"matrix": [[math.nan, 0.0], [0.0, 1.0]]}}, "operator.matrix"),
     ({**BOX2, "operator": {"matrix": [[math.inf, 0.0], [0.0, 1.0]]}}, "operator.matrix"),
+    # finite entries, but the norm and matrix + matrix.T overflow (and a
+    # RuntimeWarning is an error in this suite)
+    ({**BOX2, "operator": {"matrix": [[1e308, 1e308], [1e308, 1e308]]}}, "operator.matrix"),
     ({**BOX2, "operator": {"offset": [0.0, math.nan]}}, "operator.offset"),
     ({"family": "moving_set", "n": 2, "base_set": {"type": "box"}, "shift_offset": math.inf},
      "shift_offset"),
@@ -217,9 +220,9 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
      "set.center"),
     ({"family": "moving_set", "n": 2, "base_set": {"type": "ball", "center": math.nan}},
      "base_set.center"),
-], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix", "nan-offset",
-        "inf-shift-offset", "negative-seed", "skew-rho", "identity-L", "negative-rho",
-        "nan-ball-center", "nan-base-ball-center"])
+], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix",
+        "overflowing-matrix", "nan-offset", "inf-shift-offset", "negative-seed", "skew-rho",
+        "identity-L", "negative-rho", "nan-ball-center", "nan-base-ball-center"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])

@@ -14,8 +14,8 @@ from qvisolve import (
     integrate,
     make_l2_example,
     natural_residual,
-    rhs,
     solve,
+    tseng_map,
     tseng_step,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
@@ -54,20 +54,15 @@ def test_alpha_schedule_integral():
     assert AlphaSchedule.constant(3.0).integral(4.0) == 12.0
 
 
-# ----------------------------------------------------------------------- rhs
+# --------------------------------------------------------------------- field
 
-def test_rhs_zero_at_solutions(problem_suite):
+def test_field_zero_at_solutions(problem_suite):
     for problem in problem_suite:
-        assert norm(rhs(problem, problem.known_solution, 0.1)) <= 1e-9, problem.name
+        assert norm(tseng_map(problem, problem.known_solution, 0.1)) <= 1e-9, problem.name
 
 
-def test_rhs_halfline_value(halfline):
-    assert rhs(halfline, [2.0], 0.1)[0] == pytest.approx(-0.18, rel=1e-12)
-
-
-def test_rhs_scales_linearly(halfline):
-    doubled = rhs(halfline, [2.0], 0.1, t=0.0, alpha=AlphaSchedule.constant(2.0))
-    assert doubled[0] == pytest.approx(-0.36, rel=1e-12)
+def test_field_halfline_value(halfline):
+    assert tseng_map(halfline, [2.0], 0.1)[0] == pytest.approx(-0.18, rel=1e-12)
 
 
 def test_flow_config_validation():
@@ -172,12 +167,12 @@ def test_equilibrium_iff_solution(problem_suite):
         L = problem.operator.lipschitz_L
         rho = problem.operator.strong_rho
         lam = min(rho / L**2, 0.5 / L)
-        assert norm(rhs(problem, problem.known_solution, lam)) <= 1e-9
+        assert norm(tseng_map(problem, problem.known_solution, lam)) <= 1e-9
         t_end = 100.0 if problem.dim <= 4 else 40.0
         trace = integrate(problem, np.ones(problem.dim),
                           FlowConfig(lam=lam, h=0.05, t_end=t_end, scheme="rk4"))
         endpoint = trace.x[-1]
-        if norm(rhs(problem, endpoint, lam)) <= 1e-9:
+        if norm(tseng_map(problem, endpoint, lam)) <= 1e-9:
             nontrivial += 1
             assert natural_residual(problem, endpoint, lam) <= 1e-6, problem.name
     assert nontrivial >= 2  # the implication was actually exercised
@@ -192,6 +187,15 @@ def test_envelope_uses_scaled_time(halfline):
     v0 = trace.V[0]
     for t, env in zip(trace.t, trace.envelope):
         assert env == pytest.approx(v0 * np.exp(cert.Lambda * alpha.integral(t)), rel=1e-12)
+
+
+def test_envelope_starts_at_v0_for_an_infinite_lambda():
+    # alpha = 1e308 makes L = alpha + 1 overflow (1 + lam*L)(1 + theta), so
+    # Lambda is inf and Lambda * 0 would be NaN
+    trace = integrate(make_l2_example(3, 1e308), [1.0, 0.0, 0.0],
+                      FlowConfig(lam=0.1, h=0.5, t_end=1.0))
+    assert trace.Lambda == np.inf
+    assert trace.envelope[0] == trace.V[0] == 0.5
 
 
 def test_alpha_zero_freezes_the_flow(halfline):
