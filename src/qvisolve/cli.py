@@ -34,6 +34,10 @@ from .dynamics import SCHEMES, AlphaSchedule, FlowConfig, integrate
 from .problems import load_problem
 from .solvers import STATUS_NUMERIC_FAILURE, VARIANTS, SolverConfig, solve
 
+# the most cells one sweep may have (and so the largest 'a:b:N' count); a
+# million cells write about 240 MB of CSV
+MAX_SWEEP_CELLS = 1_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad arguments; route through the
@@ -67,6 +71,9 @@ def _parse_grid(spec: str, name: str) -> List[float]:
             count = int(count)
             if count < 1:
                 raise ValidationError(f"{name}: grid count must be >= 1")
+            if count > MAX_SWEEP_CELLS:
+                raise ValidationError(f"{name}: grid count {count} exceeds the limit of "
+                                      f"{MAX_SWEEP_CELLS} sweep cells")
             return [float(v) for v in np.linspace(float(start), float(stop), count)]
         return [float(v) for v in spec.split(",")]
     except ValidationError:
@@ -169,6 +176,10 @@ def cmd_sweep(args) -> int:
         l_grid = [args.l]
     if beta_grid is None:
         beta_grid = [args.beta]  # may be [None]
+    cells = len(lam_grid) * len(l_grid) * len(beta_grid)
+    if cells > MAX_SWEEP_CELLS:
+        raise ValidationError(f"sweep: {cells} cells (lambda x l x beta) exceed the limit of "
+                              f"{MAX_SWEEP_CELLS}")
 
     problem = load_problem(args.problem) if args.problem else None
     x0 = None if problem is None else _parse_x0(args.x0, problem.dim)

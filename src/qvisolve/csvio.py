@@ -8,6 +8,7 @@ header row, then comma-separated rows; floats print in shortest round-trip form.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 from typing import IO, Iterable, List, Optional, Union
 
@@ -27,7 +28,7 @@ def format_float(value) -> str:
 
 def _cell(v) -> str:
     """One CSV cell: empty for None and non-finite floats, lower-case flags."""
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
+    if v is None or (isinstance(v, float) and not math.isfinite(v)):
         return ""
     if isinstance(v, bool):
         return str(v).lower()
@@ -134,9 +135,10 @@ def certificate_to_csv(doc: dict, out: Sink) -> None:
 
 
 def read_csv(source: Sink):
-    """Split a CSV written by this package into (comments, header, rows): the
-    stripped text of each '#' line, the first other line split on commas (None
-    when absent) and every later line, unsplit. Empty lines are skipped."""
+    """Split a CSV written by this package into (comments, header, rows,
+    numbers): the stripped text of each '#' line, the first other line split on
+    commas (None when absent), every later line, unsplit, and the 1-based file
+    line number of each of those rows. Empty lines are skipped."""
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:
@@ -144,7 +146,8 @@ def read_csv(source: Sink):
     comments: List[str] = []
     header: Optional[List[str]] = None
     rows: List[str] = []
-    for line in text.splitlines():
+    numbers: List[int] = []
+    for number, line in enumerate(text.splitlines(), 1):
         if not line:
             continue
         if line.startswith("#"):
@@ -153,7 +156,8 @@ def read_csv(source: Sink):
             header = line.split(",")
         else:
             rows.append(line)
-    return comments, header, rows
+            numbers.append(number)
+    return comments, header, rows, numbers
 
 
 def comment_meta(comments: List[str]) -> dict:
@@ -161,46 +165,66 @@ def comment_meta(comments: List[str]) -> dict:
     return {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
 
 
-def _floats(rows: List[str], width: int) -> np.ndarray:
-    """Rows of numeric cells as a (len(rows), width) array; an empty cell is NaN."""
-    return np.array([[np.nan if c == "" else float(c) for c in row.split(",")] for row in rows],
-                    dtype=float).reshape(len(rows), width)
+def _width_error(number: int, cells: int, width: int) -> ValidationError:
+    return ValidationError(f"line {number}: {cells} cells where the header has {width}")
 
 
-def _trace_columns(rows: List[str]) -> dict:
+def _floats(rows: List[str], numbers: List[int], width: int) -> np.ndarray:
+    """Rows of `width` numeric cells as a (len(rows), width) array; an empty
+    cell is NaN. A row of another width, or with a cell that is not a number,
+    is a ValidationError naming its line."""
+    data = []
+    for row, number in zip(rows, numbers):
+        cells = row.split(",")
+        if len(cells) != width:
+            raise _width_error(number, len(cells), width)
+        try:
+            data.append([np.nan if c == "" else float(c) for c in cells])
+        except ValueError:
+            raise ValidationError(f"line {number}: a cell is not a number: {row!r}") from None
+    return np.array(data, dtype=float).reshape(len(rows), width)
+
+
+def _trace_columns(rows: List[str], numbers: List[int]) -> dict:
     """'k,residual,dist_to_solution' lines as one array per column."""
-    data = _floats(rows, 3)
+    data = _floats(rows, numbers, len(TRACE_HEADER))
     return {"k": data[:, 0].astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
 
 
 def read_trace_csv(source: Sink) -> dict:
     """Parse a trace CSV back into plain arrays plus its comment metadata."""
-    comments, _, rows = read_csv(source)
+    comments, _, rows, numbers = read_csv(source)
     meta = comment_meta(comments)
     return {"variant": meta.get("variant"),
             "lambda": float(meta["lambda"]) if "lambda" in meta else None,
             "status": meta.get("status"),
             "certificate_warning": meta.get("certificate_warning") == "true",
-            **_trace_columns(rows)}
+            **_trace_columns(rows, numbers)}
 
 
 def read_compare_csv(source: Sink) -> dict:
     """Parse a compare CSV into comment metadata plus trace columns per variant."""
-    comments, _, rows = read_csv(source)
+    comments, _, rows, numbers = read_csv(source)
     groups: dict = {}
-    for row in rows:
+    for row, number in zip(rows, numbers):
+        if row.count(",") != len(TRACE_HEADER):  # the variant, then a trace row
+            raise _width_error(number, row.count(",") + 1, len(TRACE_HEADER) + 1)
         variant, _, trace_row = row.partition(",")
-        groups.setdefault(variant, []).append(trace_row)
+        trace_rows, trace_numbers = groups.setdefault(variant, ([], []))
+        trace_rows.append(trace_row)
+        trace_numbers.append(number)
     return {"meta": comment_meta(comments),
-            "variants": {variant: _trace_columns(group) for variant, group in groups.items()}}
+            "variants": {variant: _trace_columns(*group) for variant, group in groups.items()}}
 
 
 def read_flow_csv(source: Sink) -> dict:
     """Parse a flow CSV into t, V and envelope arrays (and x, the coordinates,
     when present) plus its status and Lambda."""
-    comments, header, rows = read_csv(source)
+    comments, header, rows, numbers = read_csv(source)
+    if header is not None and len(header) < 3:
+        raise ValidationError(f"flow header {','.join(header)!r} lacks t,V,envelope")
     meta = comment_meta(comments)
-    data = _floats(rows, max(len(header or ()), 3))
+    data = _floats(rows, numbers, max(len(header or ()), 3))
     out = {"status": meta.get("status"),
            "Lambda": float(meta["Lambda"]) if "Lambda" in meta else None,
            "t": data[:, 0], "V": data[:, 1], "envelope": data[:, 2]}
@@ -209,23 +233,41 @@ def read_flow_csv(source: Sink) -> dict:
     return out
 
 
+def _sweep_cell(name: str, text: str):
+    """The value of one sweep cell: None when empty, a bool for true/false (in
+    any column), the text itself in the status column, else a float, or the
+    text when float() rejects it."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    if name == "status":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_sweep_csv(source: Sink) -> dict:
-    """Parse a sweep CSV into comment metadata plus a list of row dicts."""
-    comments, header, lines = read_csv(source)
+    """Parse a sweep CSV into comment metadata plus a list of row dicts.
+
+    A sweep repeats its values down each column, so each distinct text of a
+    column is parsed once and its value shared by every row that holds it.
+    """
+    comments, header, lines, numbers = read_csv(source)
+    header = header or []
+    parsed = [(name, {}) for name in header]  # per column: cell text -> value
     rows = []
-    for line in lines:
+    for line, number in zip(lines, numbers):
+        cells = line.split(",")
+        if len(cells) != len(parsed):
+            raise _width_error(number, len(cells), len(parsed))
         row = {}
-        for name, value in zip(header, line.split(",")):
-            if value == "":
-                row[name] = None
-            elif value in ("true", "false"):
-                row[name] = value == "true"
-            elif name == "status":
-                row[name] = value
-            else:
-                try:
-                    row[name] = float(value)
-                except ValueError:
-                    row[name] = value
+        for (name, values), text in zip(parsed, cells):
+            try:
+                row[name] = values[text]
+            except KeyError:
+                row[name] = values[text] = _sweep_cell(name, text)
         rows.append(row)
-    return {"comments": comments, "columns": header or [], "rows": rows}
+    return {"comments": comments, "columns": header, "rows": rows}

@@ -399,6 +399,42 @@ def test_sweep_requires_some_grid(capsys):
     assert "grid" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lambda-grid", "0.1:1:9"], "lambda-grid: grid count 9 exceeds the limit of 8"),
+    (["--lambda", "0.5", "--l-grid", "0:1:9"], "l-grid: grid count 9 exceeds"),
+    (["--lambda", "0.5", "--beta-grid", "0:0.4:9"], "beta-grid: grid count 9 exceeds"),
+    (["--lambda-grid", "0.1:1:3", "--l-grid", "0,0.1,0.2"], "sweep: 9 cells"),
+    (["--lambda-grid", "0.1,0.2,0.3", "--l-grid", "0,0.1", "--beta-grid", "0:0.2:2"],
+     "sweep: 12 cells"),
+])
+def test_sweep_size_cap(capsys, monkeypatch, argv, message):
+    counts = []
+    linspace = np.linspace
+
+    def counting_linspace(start, stop, count):
+        counts.append(count)
+        return linspace(start, stop, count)
+
+    def no_constants(*args):
+        raise AssertionError("constant_errors ran on a sweep above the cap")
+
+    monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 8)
+    monkeypatch.setattr(cli.np, "linspace", counting_linspace)
+    monkeypatch.setattr(cli, "constant_errors", no_constants)
+    code, out, err = run(capsys, ["sweep", "--L", "1", "--rho", "1", *argv])
+    assert code == 1 and out == ""
+    assert message in err
+    assert all(count <= 8 for count in counts)  # no grid above the cap was built
+
+
+def test_sweep_size_cap_admits_its_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_CELLS", 8)
+    code, out, _ = run(capsys, ["sweep", "--L", "1", "--rho", "1",
+                                "--lambda-grid", "0.1:0.8:4", "--l-grid", "0:0.1:2"])
+    assert code == 0
+    assert len(read_sweep_csv(io.StringIO(out))["rows"]) == 8
+
+
 def test_sweep_with_empirical_rate(capsys):
     code, out, _ = run(capsys, [
         "sweep", "--L", "3", "--rho", "1", "--l", "0.1",
