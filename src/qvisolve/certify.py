@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import QviProblem, ValidationError
+from .core import QviProblem, ValidationError, as_number
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,10 @@ class ProblemConstants:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        error = constant_errors(self.L, self.rho, (self.lam,), (self.l,), (self.beta,))[0, 0, 0]
+        L, rho, l, lam = (as_number(self.L, "L"), as_number(self.rho, "rho"),
+                          as_number(self.l, "l"), as_number(self.lam, "lambda"))
+        beta = None if self.beta is None else as_number(self.beta, "beta")
+        error = constant_errors(L, rho, (lam,), (l,), (beta,))[0, 0, 0]
         if error is not None:
             raise ValidationError(error)
 

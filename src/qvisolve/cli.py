@@ -31,7 +31,7 @@ from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_cs
                     sweep_to_csv, trace_to_csv, write_lines)
 from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
 from .dynamics import SCHEMES, AlphaSchedule, FlowConfig, integrate
-from .problems import load_problem
+from .problems import load_problem, read_json_object
 from .solvers import STATUS_NUMERIC_FAILURE, VARIANTS, SolverConfig, solve
 
 # the most cells one sweep may have (and so the largest 'a:b:N' count); a
@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _floats(spec: str, name: str, sep: str = ",", count: Optional[int] = None) -> List[float]:
+    """The floats in spec split at sep (count of them, if given), else a ValidationError."""
+    try:
+        values = [float(v) for v in spec.split(sep)]
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise ValidationError(f"{name}: expected {count} {sep!r}-separated numbers, got {spec!r}")
+    return values
+
+
 def _parse_x0(spec: str, dim: int) -> np.ndarray:
     """'zeros', 'geometric' (x0_k = 1/(2*3^k)), or comma-separated floats."""
     if spec == "zeros":
@@ -54,52 +65,29 @@ def _parse_x0(spec: str, dim: int) -> np.ndarray:
         # 3**k overflows to inf for k > 646, which gives the intended 0.0
         with np.errstate(over="ignore"):
             return 0.5 / 3.0 ** np.arange(dim)
-    try:
-        values = [float(v) for v in spec.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"x0: {exc}") from None
-    return as_vector(values, dim, name="x0")
+    return as_vector(_floats(spec, "x0"), dim, name="x0")
 
 
 def _parse_grid(spec: str, name: str) -> List[float]:
     """'start:stop:count' (inclusive linear grid) or comma-separated values."""
-    if not spec:
-        raise ValidationError(f"{name}: empty grid")
-    try:
-        if ":" in spec:
-            start, stop, count = spec.split(":")
-            count = int(count)
-            if count < 1:
-                raise ValidationError(f"{name}: grid count must be >= 1")
-            if count > MAX_SWEEP_CELLS:
-                raise ValidationError(f"{name}: grid count {count} exceeds the limit of "
-                                      f"{MAX_SWEEP_CELLS} sweep cells")
-            return [float(v) for v in np.linspace(float(start), float(stop), count)]
-        return [float(v) for v in spec.split(",")]
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(f"{name}: {exc}") from None
+    if ":" not in spec:
+        return _floats(spec, name)
+    start, stop, count = _floats(spec, name, ":", 3)
+    if not (count.is_integer() and count >= 1):
+        raise ValidationError(f"{name}: grid count must be an integer >= 1, got {count!r}")
+    if count > MAX_SWEEP_CELLS:
+        raise ValidationError(f"{name}: grid count {int(count)} exceeds the limit of "
+                              f"{MAX_SWEEP_CELLS} sweep cells")
+    return [float(v) for v in np.linspace(start, stop, int(count))]
 
 
 def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
-    """Constant ('1.0') or piecewise-constant table ('0:1.0,5:0.25')."""
+    """Constant ('1.0', i.e. the table '0:1.0') or table ('0:1.0,5:0.25')."""
     if spec is None:
         return None
-    if ":" not in spec:
-        try:
-            return AlphaSchedule.constant(float(spec))
-        except ValueError as exc:
-            raise ValidationError(f"alpha: {exc}") from None
-    times, values = [], []
-    for part in spec.split(","):
-        t, _, v = part.partition(":")
-        try:
-            times.append(float(t))
-            values.append(float(v))
-        except ValueError as exc:
-            raise ValidationError(f"alpha: {exc}") from None
-    return AlphaSchedule(tuple(times), tuple(values))
+    table = spec if ":" in spec else "0:" + spec
+    times, values = zip(*(_floats(part, "alpha", ":", 2) for part in table.split(",")))
+    return AlphaSchedule(times, values)
 
 
 def _out(args) -> Union[str, IO[str]]:
@@ -163,9 +151,9 @@ SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args) -> int:
-    lam_grid = _parse_grid(args.lambda_grid, "lambda-grid") if args.lambda_grid else None
-    l_grid = _parse_grid(args.l_grid, "l-grid") if args.l_grid else None
-    beta_grid = _parse_grid(args.beta_grid, "beta-grid") if args.beta_grid else None
+    lam_grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid, "lambda-grid")
+    l_grid = None if args.l_grid is None else _parse_grid(args.l_grid, "l-grid")
+    beta_grid = None if args.beta_grid is None else _parse_grid(args.beta_grid, "beta-grid")
     if lam_grid is None and l_grid is None and beta_grid is None:
         raise ValidationError("sweep needs at least one of --lambda-grid/--l-grid/--beta-grid")
     if lam_grid is None:
@@ -324,13 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            path = Path(args.config)
-            if not path.is_file():
-                raise ValidationError(f"config: file not found: {path}")
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"config: {exc}") from None
+            doc = read_json_object(Path(args.config), "config")
             args = parser.parse_args(_argv_from_config(doc))
         if args.command is None:
             raise ValidationError("no command given (try --help)")

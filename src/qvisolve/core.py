@@ -14,6 +14,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -64,13 +65,38 @@ def require_finite(v: Array, what: str) -> Array:
     return v
 
 
-def require_positive(value, name: str) -> float:
-    if not (np.isscalar(value) or isinstance(value, (int, float))):
+def as_number(value, name: str) -> float:
+    """value as a float; a bool, a str or any other non-real (np.bool_ too)
+    is a ValidationError naming it. An int beyond the float range is +-inf."""
+    if type(value) is float:  # the common case costs one type test
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+#: the sign a finite x may be required to have -> its test (0 < x, 0 <= x)
+_SIGN_TESTS = {"": lambda v: True, "positive": (0.0).__lt__, "nonnegative": (0.0).__le__}
+
+
+def require_real(value, name: str, sign: str = "") -> float:
+    """value as a finite float (see as_number), positive or nonnegative when
+    sign says so, else a ValidationError naming it."""
+    x = as_number(value, name)
+    if not (math.isfinite(x) and _SIGN_TESTS[sign](x)):
+        raise ValidationError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {x!r}")
+    return x
+
+
+def require_positive(value, name: str) -> float:
+    return require_real(value, name, "positive")
+
+
+def require_nonnegative(value, name: str) -> float:
+    return require_real(value, name, "nonnegative")
 
 
 def require_count(value, name: str) -> None:
@@ -129,8 +155,7 @@ class ConstraintSpec:
     lip_l: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lip_l) and self.lip_l >= 0.0):
-            raise ValidationError(f"lip_l must be nonnegative and finite, got {self.lip_l!r}")
+        require_nonnegative(self.lip_l, "lip_l")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,13 +29,22 @@ from .core import (
     ignore_overflow,
     norm,
     require_finite,
+    require_nonnegative,
     require_positive,
+    require_real,
     tseng_field,
 )
 from .csvio import read_flow_csv  # noqa: F401  (bench/workloads.py imports it from here)
 from .solvers import DIVERGENCE_LIMIT, STATUS_NUMERIC_FAILURE
 
 SCHEMES = ("euler", "rk4")
+
+#: the most steps one flow may take: each keeps two Python floats (t and V),
+#: about 64 bytes, so this many keep about 640 MB
+MAX_FLOW_STEPS = 10_000_000
+#: the most entries the states of a flow integrated with keep_states may
+#: hold: 800 MB of float64
+MAX_STATE_ENTRIES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -52,22 +61,20 @@ class AlphaSchedule:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times = tuple(require_real(t, "alpha time") for t in self.times)
+        values = tuple(require_nonnegative(v, "alpha value") for v in self.values)
         if len(times) != len(values) or not times:
             raise ValidationError("alpha schedule needs matching, nonempty times/values")
         if times[0] != 0.0:
             raise ValidationError("alpha schedule must start at t = 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValidationError("alpha schedule times must increase strictly")
-        if any(not (math.isfinite(v) and v >= 0.0) for v in values):
-            raise ValidationError("alpha values must be nonnegative and finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
     @classmethod
     def constant(cls, value: float) -> "AlphaSchedule":
-        return cls((0.0,), (float(value),))
+        return cls((0.0,), (value,))
 
     def __call__(self, t: float) -> float:
         idx = bisect.bisect_right(self.times, t) - 1
@@ -86,11 +93,14 @@ class AlphaSchedule:
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """t_end is rounded to steps = round(t_end/h) whole steps, at most MAX_FLOW_STEPS."""
+
     lam: float
     h: float
     t_end: float
     scheme: str = "euler"
     alpha: Optional[AlphaSchedule] = None
+    steps: int = field(init=False)
 
     def __post_init__(self):
         require_positive(self.lam, "lambda")
@@ -98,8 +108,12 @@ class FlowConfig:
         require_positive(self.t_end, "t_end")
         if self.h > self.t_end:
             raise ValidationError(f"h must not exceed t_end (h={self.h}, t_end={self.t_end})")
+        steps = self.t_end / self.h
+        if not steps <= MAX_FLOW_STEPS:
+            raise ValidationError(f"t_end/h = {steps!r} steps exceed the limit of {MAX_FLOW_STEPS}")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
+        object.__setattr__(self, "steps", round(steps))
 
 
 @dataclass
@@ -169,8 +183,10 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     need them); otherwise memory stays a few n-vectors plus the scalar series.
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
-    h, lam, alpha = config.h, config.lam, config.alpha
-    nsteps = max(1, int(round(config.t_end / h)))
+    h, lam, alpha, nsteps = config.h, config.lam, config.alpha, config.steps
+    if keep_states and (nsteps + 1) * problem.dim > MAX_STATE_ENTRIES:
+        raise ValidationError(f"t_end/h: {nsteps + 1} states of dimension {problem.dim} exceed "
+                              f"the limit of {MAX_STATE_ENTRIES} kept entries")
     xstar = problem.known_solution
 
     def f(t, xv):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -30,7 +29,11 @@ from .core import (
     QviProblem,
     ValidationError,
     as_vector,
+    norm,
     require_count,
+    require_nonnegative,
+    require_positive,
+    require_real,
 )
 
 
@@ -77,17 +80,14 @@ class BallSet:
     radius: float
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        if center.ndim != 1 or not np.all(np.isfinite(center)):
-            raise ValidationError("ball center must be a finite 1-D array")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValidationError(f"ball radius must be positive, got {self.radius!r}")
+        center = as_vector(self.center, name="ball center").copy()
+        require_positive(self.radius, "ball radius")
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
 
     def project(self, z) -> Array:
         w = np.asarray(z, dtype=float) - self.center
-        nw = np.linalg.norm(w)
+        nw = norm(w)
         if nw <= self.radius:
             return np.array(z, dtype=float)
         return self.center + w * (self.radius / nw)
@@ -133,10 +133,7 @@ class MovingSetSpec:
     base_projection: Callable[[Array], Array]
 
     def __post_init__(self):
-        if not (np.isfinite(self.shift_lipschitz) and self.shift_lipschitz >= 0):
-            raise ValidationError(
-                f"shift_lipschitz must be nonnegative, got {self.shift_lipschitz!r}"
-            )
+        require_nonnegative(self.shift_lipschitz, "shift_lipschitz")
 
 
 def moving_set_project(spec: MovingSetSpec, x, z) -> Array:
@@ -201,10 +198,8 @@ def make_l2_example(n: int, alpha: float = 2.0) -> QviProblem:
     constraint already pins all tail coordinates to zero.
     """
     require_count(n, "n")
-    if not alpha > 1.0:
-        raise ValidationError(
-            f"alpha must exceed 1 (strong monotonicity alpha-1 must be positive), got {alpha!r}"
-        )
+    if not require_real(alpha, "alpha") > 1.0:
+        raise ValidationError(f"alpha must exceed 1 (so that rho = alpha - 1 > 0), got {alpha!r}")
 
     def op(x):
         return alpha * x + np.abs(np.sin(x))
@@ -250,12 +245,9 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     require_count(n, "n")
     if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (0 < rho_target <= L_target):
-        raise ValidationError(
-            f"need 0 < rho_target <= L_target, got rho={rho_target!r}, L={L_target!r}"
-        )
-    if not beta >= 0:
-        raise ValidationError(f"beta must be nonnegative, got {beta!r}")
+    if require_positive(rho_target, "rho_target") > require_positive(L_target, "L_target"):
+        raise ValidationError(f"rho_target exceeds L_target (rho={rho_target!r}, L={L_target!r})")
+    require_nonnegative(beta, "beta")
 
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -286,6 +278,7 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
 def make_moving_box_problem(n: int = 4, shift_scale: float = 0.1) -> QviProblem:
     """Moving box K(x) = shift_scale*x + [-1, 1]^n with F(x) = x; solution 0."""
     require_count(n, "n")
+    require_real(shift_scale, "shift_scale")
     spec = MovingSetSpec(
         shift=AffineMap(shift_scale * np.eye(n), np.zeros(n)),
         shift_lipschitz=abs(shift_scale),
@@ -313,19 +306,16 @@ def default_problem_suite() -> list[QviProblem]:
 
 #: declared L >= (1 - slack) * ||A|| and rho <= lambda_min(sym A) + slack * ||A||
 CONSTANT_SLACK = 1e-9
+#: the most entries a descriptor's arrays may have: n for an l2_example
+#: vector, n*n for a matrix of the other families (800 MB of float64)
+MAX_DESCRIPTOR_ENTRIES = 100_000_000
 
 
-def _number(d: dict, key: str, default, integer: bool = False, where: str = ""):
-    """d[key] as a finite float (an int when integer), or default when the key
-    is absent or null; anything else, a bool too, is a ValidationError."""
+def _number(d: dict, key: str, default, where: str = ""):
+    """d[key] as a finite float (default when absent or null); n and seed,
+    the integer fields, are checked where they are used."""
     value = d.get(key)
-    if value is None:
-        return default
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not abs(value) <= sys.float_info.max):
-        kind = "an integer" if integer else "a finite number"
-        raise ValidationError(f"{where}{key} must be {kind}, got {value!r}")
-    return value if integer else float(value)
+    return default if value is None else require_real(value, where + key)
 
 
 def _array(d: dict, key: str, default, shape=None, where: str = "") -> Array:
@@ -386,6 +376,24 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
     return OperatorSpec(AffineMap(matrix, offset), lipschitz_L=L, strong_rho=rho)
 
 
+def read_json_object(source: Union[str, Path], name: str) -> dict:
+    """The JSON object that source holds: a str that starts with '{' is JSON
+    text, any other str or a Path names a file. A missing file, invalid JSON
+    or a value that is not an object is a ValidationError naming `name`."""
+    text = source
+    if not (isinstance(source, str) and source.lstrip().startswith("{")):
+        if not Path(source).is_file():
+            raise ValidationError(f"{name}: file not found: {source}")
+        text = Path(source).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{name}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{name}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     """Build a QviProblem from a JSON descriptor (dict, JSON text, or a path).
 
@@ -393,26 +401,14 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     plus family parameters}; see the README for the exact fields. Text that
     starts with '{' is parsed as inline JSON, anything else as a path.
     """
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            path = Path(text)
-            if not path.is_file():
-                raise ValidationError(f"problem: file not found: {path}")
-            text = path.read_text(encoding="utf-8")
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"problem: invalid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValidationError(f"problem: expected a JSON object, got {type(doc).__name__}")
-    else:
-        doc = dict(source)
-
+    doc = read_json_object(source, "problem") if isinstance(source, (str, Path)) else dict(source)
     family = doc.get("family")
-    n = _number(doc, "n", None, integer=True)
-    if n is None or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    n = doc.get("n")
+    require_count(n, "n")
+    entries = n if family == "l2_example" else n * n
+    if entries > MAX_DESCRIPTOR_ENTRIES:
+        raise ValidationError(f"n = {n} gives arrays of {entries} entries, above the limit "
+                              f"of {MAX_DESCRIPTOR_ENTRIES}")
 
     if family == "l2_example":
         return make_l2_example(n, _number(doc, "alpha", 2.0))
@@ -420,7 +416,7 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     if family == "affine":
         return make_affine_qvi(
             n,
-            seed=_number(doc, "seed", 0, integer=True),
+            seed=0 if doc.get("seed") is None else doc["seed"],
             rho_target=_number(doc, "rho", 1.0),
             L_target=_number(doc, "L", 1.0),
             beta=_number(doc, "beta", 0.0),

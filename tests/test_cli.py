@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qvisolve import cli, csvio
+from qvisolve import cli, csvio, problems
 from qvisolve.certify import Certificate, ProblemConstants, full_certificate
 from qvisolve.cli import main
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
@@ -220,9 +220,18 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
      "set.center"),
     ({"family": "moving_set", "n": 2, "base_set": {"type": "ball", "center": math.nan}},
      "base_set.center"),
+    ({"family": "l2_example", "n": 2.0}, "n must be"),
+    ({"family": "l2_example", "n": 3, "alpha": math.inf}, "alpha"),
+    ({"family": "affine", "n": 2, "seed": 1.5}, "seed"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "box", "lo": "abc"}}, "set.lo"),
+    ({"family": "single_set_vi", "n": 2, "set": 5}, "set must be an object"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "disk"}}, "set.type"),
+    ({**BOX2, "operator": "ident"}, "operator must be"),
 ], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix",
         "overflowing-matrix", "nan-offset", "inf-shift-offset", "negative-seed", "skew-rho",
-        "identity-L", "negative-rho", "nan-ball-center", "nan-base-ball-center"])
+        "identity-L", "negative-rho", "nan-ball-center", "nan-base-ball-center", "float-n",
+        "inf-alpha", "float-seed", "string-box-bound", "set-not-object", "unknown-set-type",
+        "unknown-operator"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])
@@ -254,6 +263,51 @@ def test_flow_alpha_table(capsys):
     assert code == 0
     data = read_flow_csv(io.StringIO(out))
     assert data["status"] == "completed"
+
+
+FLOW = ["flow", "--problem", HALFLINE_DESCRIPTOR, "--x0", "2.0", "--lambda", "0.1"]
+SWEEP = ["sweep", "--L", "1", "--rho", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--problem", HALFLINE_DESCRIPTOR, "--x0", "1,a", "--lambda", "0.1"],
+     "x0: could not convert string to float: 'a'"),
+    ([*SWEEP, "--lambda-grid", "0.1:1:3", "--l-grid", ""],
+     "l-grid: could not convert string to float: ''"),
+    ([*SWEEP, "--lambda-grid", "0.1:1:0"], "lambda-grid: grid count must be an integer >= 1"),
+    ([*SWEEP, "--lambda-grid", "0.1:1:2.5"], "lambda-grid: grid count must be an integer >= 1"),
+    ([*SWEEP, "--lambda-grid", "0.1:1:x"], "lambda-grid: could not convert string to float"),
+    ([*SWEEP, "--lambda-grid", "0.1:1"], "lambda-grid: expected 3 ':'-separated numbers"),
+    ([*SWEEP, "--l-grid", "0:0.1:2"], "lambda: give --lambda or --lambda-grid"),
+    ([*FLOW, "--h", "0.5", "--t-end", "2", "--alpha", "abc"],
+     "alpha: could not convert string to float: 'abc'"),
+    ([*FLOW, "--h", "0.5", "--t-end", "2", "--alpha", "0:1,x:2"],
+     "alpha: could not convert string to float: 'x'"),
+    ([*FLOW, "--h", "0.5", "--t-end", "2", "--alpha", "0:1,5"],
+     "alpha: expected 2 ':'-separated numbers, got '5'"),
+    ([*FLOW, "--h", "0.5", "--t-end", "2", "--alpha", "0:1,nan:2"],
+     "alpha time must be finite, got nan"),
+    ([*FLOW, "--h", "0.5", "--t-end", "2", "--alpha", "inf"],
+     "alpha value must be nonnegative and finite, got inf"),
+    # resource bounds: each is rejected before anything is allocated or run
+    ([*FLOW, "--h", "1e-10", "--t-end", "1e308"], "t_end/h = inf steps exceed the limit"),
+    ([*FLOW, "--h", "1e-300", "--t-end", "1", "--coords"],
+     "t_end/h = 9.999999999999999e+299 steps"),
+    (["solve", "--problem", json.dumps({"family": "l2_example", "n": 100_000_000_000}),
+      "--x0", "zeros", "--lambda", "0.1"], "n = 100000000000 gives arrays of"),
+], ids=["x0-word", "empty-l-grid", "zero-count", "fractional-count", "word-count",
+        "two-part-grid", "grid-without-lambda", "alpha-word", "alpha-table-word",
+        "alpha-table-pair", "alpha-nan-time", "alpha-inf", "flow-step-count",
+        "flow-state-array", "l2-dimension"])
+def test_bad_option_value_names_it(capsys, monkeypatch, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("ran past its validation")
+
+    for module, name in ((cli, "solve"), (cli, "integrate"), (problems, "make_l2_example")):
+        monkeypatch.setattr(module, name, never)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_flow_validation(capsys):
@@ -531,6 +585,40 @@ def test_config_document_round_trip(capsys, tmp_path):
     # identical RunConfig -> byte-identical output
     assert main(["--config", str(config_path)]) == 0
     assert config_target.read_bytes() == flag_target.read_bytes()
+
+
+def test_config_document_with_flag_list_and_null(tmp_path):
+    # true is a bare flag, a list a comma list, null an absent option
+    flag_target = tmp_path / "by_flags.csv"
+    config_target = tmp_path / "by_config.csv"
+    assert main(["flow", "--problem", json.dumps({"family": "l2_example", "n": 3}),
+                 "--x0", "0.5,0.25,0.125", "--lambda", "0.1", "--h", "0.5", "--t-end", "2",
+                 "--coords", "-o", str(flag_target)]) == 0
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({
+        "command": "flow", "problem": {"family": "l2_example", "n": 3},
+        "x0": [0.5, 0.25, 0.125], "lambda": 0.1, "h": 0.5, "t_end": 2, "coords": True,
+        "alpha": None, "output": str(config_target)}))
+    assert main(["--config", str(config_path)]) == 0
+    assert config_target.read_bytes() == flag_target.read_bytes()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1]", "config: expected a JSON object, got list"),
+    ('"solve"', "config: expected a JSON object, got str"),
+    ("5", "config: expected a JSON object, got int"),
+    ("null", "config: expected a JSON object, got NoneType"),
+    ("{not json", "config: invalid JSON: "),
+    # --config takes a path only: inline JSON names a file that is not there
+    ('{"command": "certify"}', "config: file not found"),
+])
+def test_config_must_be_a_file_holding_an_object(capsys, tmp_path, text, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(text)
+    argv = ["--config", text if "not found" in message else str(config_path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_config_missing_command(capsys, tmp_path):

@@ -19,8 +19,11 @@ from qvisolve import (
     tseng_step,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
-from qvisolve.core import as_vector
-from qvisolve.problems import AffineMap, make_l2_example
+from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
+from qvisolve.dynamics import AlphaSchedule, FlowConfig
+from qvisolve.problems import (AffineMap, BallSet, MovingSetSpec, make_affine_qvi, make_l2_example,
+                               make_moving_box_problem)
+from qvisolve.solvers import SolverConfig
 
 from oracles import assert_finite_arguments, poisoned_problem
 
@@ -36,6 +39,69 @@ def test_as_vector_rejects_bad_input():
         as_vector([1.0, np.nan])
     with pytest.raises(ValidationError):
         as_vector([1.0, np.inf])
+    with pytest.raises(ValidationError, match="^x: could not convert"):
+        as_vector(["a", 1.0])
+
+
+def _identity(x, z=None):
+    return x
+
+
+# a scalar constant that is not a finite real number, or not of the required
+# sign, given to each place that takes one -> the field its error names
+BAD_SCALARS = {
+    "require_positive-str": (lambda: require_positive("0.1", "lambda"), "lambda"),
+    "require_positive-bool": (lambda: require_positive(True, "lambda"), "lambda"),
+    "require_positive-np.bool_": (lambda: require_positive(np.bool_(True), "h"), "h"),
+    "require_positive-complex": (lambda: require_positive(1j, "h"), "h"),
+    "require_real-None": (lambda: require_real(None, "alpha"), "alpha"),
+    "require_real-nan": (lambda: require_real(np.float32(np.nan), "alpha"), "alpha"),
+    "require_real-huge-int": (lambda: require_real(10**400, "alpha"), "alpha"),
+    "require_nonnegative-negative": (lambda: require_nonnegative(-0.5, "beta"), "beta"),
+    "OperatorSpec-str": (lambda: OperatorSpec(_identity, "3", "1"), "lipschitz_L"),
+    "SolverConfig-str": (lambda: SolverConfig(lam="0.1"), "lambda"),
+    "ConstraintSpec-str": (lambda: ConstraintSpec(_identity, lip_l="0.1"), "lip_l"),
+    "ConstraintSpec-bool": (lambda: ConstraintSpec(_identity, True), "lip_l"),
+    "BallSet-str": (lambda: BallSet(np.zeros(2), "1"), "ball radius"),
+    "BallSet-bool": (lambda: BallSet(np.zeros(2), True), "ball radius"),
+    "MovingSetSpec-str": (lambda: MovingSetSpec(_identity, "0.1", _identity), "shift_lipschitz"),
+    "ProblemConstants-str": (lambda: ProblemConstants(L="3", rho=1.0, l=0.0, lam=0.1), "L"),
+    "ProblemConstants-bool-beta": (
+        lambda: ProblemConstants(L=3.0, rho=1.0, l=0.0, lam=0.1, beta=False), "beta"),
+    "ProblemConstants-huge-int": (
+        lambda: ProblemConstants(L=10**400, rho=1.0, l=0.0, lam=0.1), "L"),
+    "make_l2_example-str": (lambda: make_l2_example(2, "3"), "alpha"),
+    "make_l2_example-inf": (lambda: make_l2_example(2, np.inf), "alpha"),
+    "make_affine_qvi-str": (lambda: make_affine_qvi(3, 0, 1.0, 2.0, "0.1"), "beta"),
+    "make_affine_qvi-str-rho": (lambda: make_affine_qvi(3, 0, "1", 2.0, 0.1), "rho_target"),
+    "make_affine_qvi-inf-L": (lambda: make_affine_qvi(3, 0, 1.0, np.inf, 0.1), "L_target"),
+    "make_moving_box_problem-str": (lambda: make_moving_box_problem(2, "0.1"), "shift_scale"),
+    "AlphaSchedule-str": (lambda: AlphaSchedule(("a",), (1.0,)), "alpha time"),
+    "AlphaSchedule-bool": (lambda: AlphaSchedule((0.0,), (True,)), "alpha value"),
+    "AlphaSchedule-nan-time": (lambda: AlphaSchedule((0.0, np.nan), (1.0, 2.0)), "alpha time"),
+    "FlowConfig-str": (lambda: FlowConfig(lam=0.1, h="0.1", t_end=1.0), "h"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SCALARS))
+def test_scalar_constants_pass_one_check(case):
+    make, field = BAD_SCALARS[case]
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        make()
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.float64(3.0), np.float32(0.1), np.int64(3),
+                                   2**1000, -0.0, 5e-324],
+                         ids=["int", "float", "float64", "float32", "int64", "2**1000",
+                              "-0.0", "subnormal"])
+def test_real_numbers_keep_their_value(value):
+    assert require_real(value, "x") == float(value) == value
+    assert type(require_real(value, "x")) is float
+    assert require_nonnegative(abs(value), "x") == abs(value)
+    if value > 0:
+        assert require_positive(value, "x") == value
+        assert BallSet(np.zeros(1), value).radius == value
+        assert ProblemConstants(L=value, rho=value, l=0.0, lam=value).L == value
 
 
 def test_operator_spec_forces_rho_below_L():

@@ -18,6 +18,7 @@ from qvisolve import (
     tseng_map,
     tseng_step,
 )
+from qvisolve import dynamics
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import norm
 from qvisolve.csvio import flow_to_csv, read_flow_csv
@@ -34,6 +35,9 @@ def test_alpha_schedule_validation():
         AlphaSchedule((0.0, 0.0), (1.0, 2.0))  # strictly increasing
     with pytest.raises(ValidationError):
         AlphaSchedule((0.0,), (-1.0,))  # nonnegative
+    for times, values in (((0.0, 1.0), (1.0,)), ((), ())):
+        with pytest.raises(ValidationError, match="matching, nonempty"):
+            AlphaSchedule(times, values)
 
 
 def test_alpha_schedule_right_continuous():
@@ -72,6 +76,28 @@ def test_flow_config_validation():
         FlowConfig(lam=0.1, h=0.1, t_end=1.0, scheme="heun")
     with pytest.raises(ValidationError):
         FlowConfig(lam=0.0, h=0.1, t_end=1.0)
+
+
+def test_flow_step_cap(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_FLOW_STEPS", 10)
+    assert FlowConfig(lam=0.1, h=0.1, t_end=1.0).steps == 10
+    assert FlowConfig(lam=0.1, h=0.3, t_end=1.0).steps == 3  # t_end rounds to whole steps
+    for h, t_end in ((0.1, 1.2), (1e-300, 1.0), (1e-10, 1e308)):
+        with pytest.raises(ValidationError, match="^t_end/h = .* exceed the limit of 10$"):
+            FlowConfig(lam=0.1, h=h, t_end=t_end)
+
+
+def test_kept_state_cap(monkeypatch, halfline):
+    config = FlowConfig(lam=0.1, h=0.1, t_end=1.0)  # 11 states of dimension 1
+    monkeypatch.setattr(dynamics, "MAX_STATE_ENTRIES", 10)
+    monkeypatch.setattr(dynamics, "tseng_field", None)  # rejected before any step
+    with pytest.raises(ValidationError, match="^t_end/h: 11 states of dimension 1 exceed"):
+        integrate(halfline, [2.0], config, keep_states=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(dynamics, "MAX_STATE_ENTRIES", 11)
+    assert integrate(halfline, [2.0], config, keep_states=True).x.shape == (11, 1)
+    monkeypatch.setattr(dynamics, "MAX_STATE_ENTRIES", 0)  # only kept states count
+    assert integrate(halfline, [2.0], config).status == "completed"
 
 
 # ------------------------------------------------------------------ integrate

@@ -13,6 +13,7 @@ from qvisolve import (
     project,
     solve,
 )
+from qvisolve import problems
 from qvisolve.problems import (
     CONSTANT_SLACK,
     AffineMap,
@@ -96,8 +97,20 @@ def test_ball_projection_idempotent_and_nonexpansive(u, v):
 def test_box_validation():
     with pytest.raises(ValidationError):
         BoxSet(np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValidationError, match="equal length"):
+        BoxSet(np.zeros(2), np.ones(3))
     with pytest.raises(ValidationError):
         BallSet(np.array([0.0]), 0.0)
+    for center in ([[0.0]], [np.nan], ["a"]):
+        with pytest.raises(ValidationError, match="^ball center: "):
+            BallSet(center, 1.0)
+
+
+def test_affine_map_validation():
+    with pytest.raises(ValidationError, match="square"):
+        AffineMap(np.ones((2, 3)), np.zeros(2))
+    with pytest.raises(ValidationError, match="offset length"):
+        AffineMap(np.eye(2), np.zeros(3))
 
 
 # ----------------------------------------------------------------- moving sets
@@ -130,6 +143,11 @@ def test_moving_set_zero_shift_reduces_to_base():
     z = np.array([3.0, 4.0])
     assert np.allclose(moving_set_project(spec, np.zeros(2), z), base.project(z),
                        atol=1e-15)
+
+
+def test_moving_set_rejects_negative_shift_constant():
+    with pytest.raises(ValidationError, match="^shift_lipschitz must be nonnegative"):
+        MovingSetSpec(shift=lambda x: x, shift_lipschitz=-0.1, base_projection=lambda z: z)
 
 
 def test_moving_set_rejects_scalar_oracle_output():
@@ -395,7 +413,33 @@ def test_load_descriptor_errors(tmp_path):
         load_problem({"family": "l2_example"})
     with pytest.raises(ValidationError):
         load_problem("/nonexistent/problem.json")
+    for text, kind in (("[1]", "list"), ('"solve"', "str"), ("5", "int"), ("null", "NoneType")):
+        holder = tmp_path / "holder.json"
+        holder.write_text(text)
+        with pytest.raises(ValidationError, match=f"^problem: expected a JSON object, got {kind}"):
+            load_problem(holder)
     with pytest.raises(ValidationError):
         load_problem({"family": "single_set_vi", "n": 2,
                       "set": {"type": "box", "lo": -1.0, "hi": 1.0},
                       "operator": {"matrix": [[0.0, -1.0], [1.0, 0.0]]}})  # not monotone
+
+
+@pytest.mark.parametrize("descriptor,admitted", [
+    ({"family": "l2_example", "n": 8}, True),  # n-vectors
+    ({"family": "l2_example", "n": 9}, False),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "box"}}, True),  # n x n matrices
+    ({"family": "single_set_vi", "n": 3, "set": {"type": "box"}}, False),
+    ({"family": "affine", "n": 3}, False),
+    ({"family": "moving_set", "n": 3, "base_set": {"type": "box"}}, False),
+])
+def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
+    monkeypatch.setattr(problems, "MAX_DESCRIPTOR_ENTRIES", 8)
+    if admitted:
+        assert load_problem(descriptor).dim == descriptor["n"]
+        return
+    for builder in ("make_l2_example", "make_affine_qvi", "make_moving_set_problem",
+                    "make_single_set_problem", "AffineMap"):
+        monkeypatch.setattr(problems, builder, None)  # rejected before anything is built
+    n = descriptor["n"]
+    with pytest.raises(ValidationError, match=f"^n = {n} gives arrays of .* the limit of 8$"):
+        load_problem(descriptor)
