@@ -140,8 +140,8 @@ _SCALARS = frozenset((int, float, np.float64))
 
 
 def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
-    """The PAPER.md constants table, elementwise over arrays of (L, rho, l,
-    lambda, beta) broadcast together: one array per Certificate field, plus
+    """The constants table of the README, elementwise over arrays of (L, rho,
+    l, lambda, beta) broadcast together: one array per Certificate field, plus
     f_lipschitz = (1+theta)(1+lam*L), the Lipschitz bound of the flow's field.
 
     The constants are taken as valid (see ProblemConstants); a NaN beta, the

@@ -31,21 +31,51 @@ class NumericFailure(ArithmeticError):
     """An oracle produced NaN/Inf, or an iteration diverged."""
 
 
-def as_vector(values, dim: Optional[int] = None, name: str = "x") -> Array:
-    """Coerce to a finite 1-D float64 array, optionally checking the dimension."""
+_FLOAT = np.dtype(float)
+#: array kinds whose entries are not real numbers (see `as_number`) -> name; an
+#: object array may hold numpy complex scalars as well, which float() only warns about
+_NOT_REAL = {"b": "bool", "c": "complex", "U": "text", "S": "text"}
+
+
+def as_array(values, name: str, dim: Optional[int] = None, *, square: bool = False,
+             fill: bool = False, allow_inf: bool = False) -> Array:
+    """values as a float64 vector, or with square a square matrix, of length
+    dim when given (with fill a scalar stands for dim equal entries), whose
+    entries are finite, or with allow_inf (box bounds) not NaN. Anything else
+    (None, text, bool or complex entries, a ragged list, a wrong shape) is a
+    ValidationError that starts with name. May share memory with values."""
     try:
-        v = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray(values)
+        if a.dtype is not _FLOAT:
+            kind = _NOT_REAL.get(a.dtype.kind)
+            if kind or a.dtype == object and any(isinstance(v, np.complexfloating) for v in a.flat):
+                raise TypeError(f"could not convert {kind or 'complex'} entries to float")
+            a = a.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
-    if v.ndim != 1:
-        raise ValidationError(f"{name}: expected a 1-D vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ValidationError(
-            f"{name}: dimension mismatch (expected {dim}, got {v.shape[0]})"
-        )
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name}: entries must be finite (no NaN/Inf)")
-    return v
+    if fill and a.ndim == 0:
+        a = np.full(dim, a)
+    if a.ndim != 1 + square or (square and a.shape[0] != a.shape[1]):
+        want = "square matrix" if square else "1-D vector"
+        raise ValidationError(f"{name}: expected a {want}, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise ValidationError(f"{name} length must be {dim}, got shape {a.shape}")
+    if not (np.isfinite(a).all() or allow_inf and not np.isnan(a).any()):
+        raise ValidationError(f"{name}: entries must be {'not NaN' if allow_inf else 'finite'}")
+    return a
+
+
+def as_vector(values, dim: Optional[int] = None, name: str = "x") -> Array:
+    """`as_array`'s vector case, the one every solve and flow entry point runs."""
+    return as_array(values, name, dim)
+
+
+def set_readonly(obj, **arrays: Array) -> None:
+    """Store a read-only copy of each array as that field of frozen dataclass obj."""
+    for field, a in arrays.items():
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(obj, field, a)
 
 
 def norm(v: Array) -> float:
@@ -172,10 +202,8 @@ class QviProblem:
     def __post_init__(self):
         require_count(self.dim, "dim")
         if self.known_solution is not None:
-            sol = as_vector(self.known_solution, self.dim, name="known_solution")
-            sol = sol.copy()
-            sol.setflags(write=False)
-            object.__setattr__(self, "known_solution", sol)
+            set_readonly(self, known_solution=as_array(self.known_solution, "known_solution",
+                                                       self.dim))
 
 
 # The public one-shot entry points raise NumericFailure for any non-finite

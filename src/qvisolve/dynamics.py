@@ -61,8 +61,11 @@ class AlphaSchedule:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(require_real(t, "alpha time") for t in self.times)
-        values = tuple(require_nonnegative(v, "alpha value") for v in self.values)
+        try:
+            times = tuple(require_real(t, "alpha time") for t in self.times)
+            values = tuple(require_nonnegative(v, "alpha value") for v in self.values)
+        except TypeError:  # a scalar or None, not a table
+            times = values = ()
         if len(times) != len(values) or not times:
             raise ValidationError("alpha schedule needs matching, nonempty times/values")
         if times[0] != 0.0:

@@ -28,12 +28,14 @@ from .core import (
     OperatorSpec,
     QviProblem,
     ValidationError,
-    as_vector,
+    as_array,
     norm,
+    oracle_result,
     require_count,
     require_nonnegative,
     require_positive,
     require_real,
+    set_readonly,
 )
 
 
@@ -49,24 +51,18 @@ class BoxSet:
     hi: Array
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=float)
-        hi = np.array(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValidationError("box bounds must be 1-D arrays of equal length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)) or np.any(lo > hi):
-            raise ValidationError("box requires lo <= hi with no NaN")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        lo = as_array(self.lo, "box lo", allow_inf=True)
+        hi = as_array(self.hi, "box hi", allow_inf=True)
+        if lo.shape != hi.shape or np.any(lo > hi):
+            raise ValidationError("box lo and hi must be of equal length, with lo <= hi")
+        set_readonly(self, lo=lo, hi=hi)
 
     @classmethod
     def from_bounds(cls, n: int, lo, hi) -> "BoxSet":
-        """Broadcast scalar bounds; None means unbounded on that side."""
-        lo = -np.inf if lo is None else lo
-        hi = np.inf if hi is None else hi
-        return cls(np.broadcast_to(np.asarray(lo, float), (n,)).copy(),
-                   np.broadcast_to(np.asarray(hi, float), (n,)).copy())
+        """A scalar bound stands for n equal ones; None is unbounded on that side."""
+        require_count(n, "n")
+        return cls(as_array(-np.inf if lo is None else lo, "box lo", n, fill=True, allow_inf=True),
+                   as_array(np.inf if hi is None else hi, "box hi", n, fill=True, allow_inf=True))
 
     def project(self, z) -> Array:
         return np.clip(z, self.lo, self.hi)
@@ -80,10 +76,8 @@ class BallSet:
     radius: float
 
     def __post_init__(self):
-        center = as_vector(self.center, name="ball center").copy()
         require_positive(self.radius, "ball radius")
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
+        set_readonly(self, center=as_array(self.center, "ball center"))
 
     def project(self, z) -> Array:
         w = np.asarray(z, dtype=float) - self.center
@@ -101,16 +95,8 @@ class AffineMap:
     offset: Array
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        offset = np.array(self.offset, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError("matrix must be square")
-        if offset.shape != (matrix.shape[0],):
-            raise ValidationError("offset length must match the matrix size")
-        matrix.setflags(write=False)
-        offset.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "offset", offset)
+        matrix = as_array(self.matrix, "matrix", square=True)
+        set_readonly(self, matrix=matrix, offset=as_array(self.offset, "offset", len(matrix)))
 
     def __call__(self, x: Array) -> Array:
         return self.matrix @ x + self.offset
@@ -141,13 +127,8 @@ def moving_set_project(spec: MovingSetSpec, x, z) -> Array:
 
     The caller checks the result; shapes are checked here, because a scalar
     from either oracle would broadcast into a result of the right shape."""
-    m = np.asarray(spec.shift(x), dtype=float)
-    if m.shape != np.shape(x):
-        raise ValidationError(f"shift oracle returned shape {m.shape}, expected {np.shape(x)}")
-    p = np.asarray(spec.base_projection(z - m), dtype=float)
-    if p.shape != m.shape:
-        raise ValidationError(f"base projection returned shape {p.shape}, expected {m.shape}")
-    return m + p
+    m = oracle_result(spec.shift(x), len(x), "shift oracle")
+    return m + oracle_result(spec.base_projection(z - m), len(x), "base projection")
 
 
 def make_moving_set_problem(
@@ -311,22 +292,16 @@ CONSTANT_SLACK = 1e-9
 MAX_DESCRIPTOR_ENTRIES = 100_000_000
 
 
-def _number(d: dict, key: str, default, where: str = ""):
+def _get(d: dict, key: str, default):
+    """d[key], or default when it is absent or null."""
+    value = d.get(key)
+    return default if value is None else value
+
+
+def _number(d: dict, key: str, default, where: str = "") -> float:
     """d[key] as a finite float (default when absent or null); n and seed,
     the integer fields, are checked where they are used."""
-    value = d.get(key)
-    return default if value is None else require_real(value, where + key)
-
-
-def _array(d: dict, key: str, default, shape=None, where: str = "") -> Array:
-    """d[key] (default when absent or null) as a float array, broadcast to
-    shape when one is given; a ValidationError names the field otherwise."""
-    value = d.get(key)
-    try:
-        a = np.asarray(default if value is None else value, dtype=float)
-        return a if shape is None else np.broadcast_to(a, shape).copy()
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}{key}: {exc}") from None
+    return require_real(_get(d, key, default), where + key)
 
 
 def _set_from_descriptor(n: int, doc: dict, key: str):
@@ -336,9 +311,10 @@ def _set_from_descriptor(n: int, doc: dict, key: str):
     where = key + "."
     kind = d.get("type")
     if kind == "box":
-        return BoxSet(_array(d, "lo", -np.inf, (n,), where), _array(d, "hi", np.inf, (n,), where))
+        return BoxSet(as_array(_get(d, "lo", -np.inf), where + "lo", n, fill=True, allow_inf=True),
+                      as_array(_get(d, "hi", np.inf), where + "hi", n, fill=True, allow_inf=True))
     if kind == "ball":
-        center = as_vector(_array(d, "center", 0.0, (n,), where), n, where + "center")
+        center = as_array(_get(d, "center", 0.0), where + "center", n, fill=True)
         return BallSet(center, _number(d, "radius", 1.0, where=where))
     raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
 
@@ -349,11 +325,8 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
     if not isinstance(d, dict):
         raise ValidationError(f"operator must be 'identity' or an object, got {d!r}")
     where = "operator."
-    matrix = _array(d, "matrix", np.eye(n), where=where)
-    if matrix.shape != (n, n) or not np.isfinite(matrix).all():
-        raise ValidationError(f"operator.matrix must be {n}x{n} with finite entries, "
-                              f"got shape {matrix.shape}")
-    offset = as_vector(_array(d, "offset", np.zeros(n), where=where), n, "operator.offset")
+    matrix = as_array(_get(d, "matrix", np.eye(n)), where + "matrix", n, square=True)
+    offset = as_array(_get(d, "offset", np.zeros(n)), where + "offset", n)
     sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
     with np.errstate(over="ignore"):
         sym = 0.5 * (matrix + matrix.T)
@@ -416,34 +389,30 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     if family == "affine":
         return make_affine_qvi(
             n,
-            seed=0 if doc.get("seed") is None else doc["seed"],
+            seed=_get(doc, "seed", 0),
             rho_target=_number(doc, "rho", 1.0),
             L_target=_number(doc, "L", 1.0),
             beta=_number(doc, "beta", 0.0),
         )
 
-    known = doc.get("known_solution")
-    if known is not None:
-        known = as_vector(known, n, name="known_solution")
-
     if family == "moving_set":
         base = _set_from_descriptor(n, doc, "base_set")
         scale = _number(doc, "shift_scale", 0.0)
         spec = MovingSetSpec(
-            shift=AffineMap(scale * np.eye(n), as_vector(_array(doc, "shift_offset", 0.0, (n,)),
-                                                         n, "shift_offset")),
+            shift=AffineMap(scale * np.eye(n),
+                            as_array(_get(doc, "shift_offset", 0.0), "shift_offset", n, fill=True)),
             shift_lipschitz=abs(scale),
             base_projection=base.project,
         )
         op = _operator_from_descriptor(n, doc.get("operator"))
-        return make_moving_set_problem(n, op, spec, known_solution=known,
+        return make_moving_set_problem(n, op, spec, known_solution=doc.get("known_solution"),
                                        name=f"moving_set(n={n}, scale={scale})")
 
     if family == "single_set_vi":
         base = _set_from_descriptor(n, doc, "set")
         op = _operator_from_descriptor(n, doc.get("operator"))
-        return make_single_set_problem(n, op, base.project, known_solution=known,
-                                       name=f"single_set_vi(n={n})")
+        return make_single_set_problem(n, op, base.project, name=f"single_set_vi(n={n})",
+                                       known_solution=doc.get("known_solution"))
 
     raise ValidationError(
         f"family must be one of l2_example/affine/moving_set/single_set_vi, got {family!r}"

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qvisolve import (
     ConstraintSpec,
@@ -21,8 +24,8 @@ from qvisolve import (
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
 from qvisolve.dynamics import AlphaSchedule, FlowConfig
-from qvisolve.problems import (AffineMap, BallSet, MovingSetSpec, make_affine_qvi, make_l2_example,
-                               make_moving_box_problem)
+from qvisolve.problems import (AffineMap, BallSet, BoxSet, MovingSetSpec, load_problem,
+                               make_affine_qvi, make_l2_example, make_moving_box_problem)
 from qvisolve.solvers import SolverConfig
 
 from oracles import assert_finite_arguments, poisoned_problem
@@ -88,6 +91,90 @@ def test_scalar_constants_pass_one_check(case):
     make, field = BAD_SCALARS[case]
     with pytest.raises(ValidationError, match=f"^{field} must be "):
         make()
+
+
+BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
+_OP = OperatorSpec(_identity, 1.0, 1.0)
+_CON = ConstraintSpec(_identity, 0.0)
+
+# an array input that is not a real vector (or square matrix) of the
+# required length, given to each place that takes one -> the field its
+# error names
+BAD_ARRAYS = {
+    "BoxSet-str": (lambda: BoxSet(["a"], [1.0]), "box lo"),
+    "BoxSet-ragged": (lambda: BoxSet([[0.0], [0.0, 1.0]], [1.0]), "box lo"),
+    "BoxSet-bool": (lambda: BoxSet([True], [1.0]), "box lo"),
+    "BoxSet-nan-hi": (lambda: BoxSet(np.zeros(2), [np.nan, 1.0]), "box hi"),
+    "from_bounds-str": (lambda: BoxSet.from_bounds(2, "a", 1.0), "box lo"),
+    "from_bounds-length": (lambda: BoxSet.from_bounds(2, [0.0, 0.0, 0.0], 1.0), "box lo"),
+    "from_bounds-bool-n": (lambda: BoxSet.from_bounds(True, 0.0, 1.0), "n"),
+    "AffineMap-str": (lambda: AffineMap([["a"]], [0.0]), "matrix"),
+    "AffineMap-complex": (lambda: AffineMap([[1j]], [0.0]), "matrix"),
+    "AffineMap-complex-array": (lambda: AffineMap(np.array([[1j]]), [0.0]), "matrix"),
+    "AffineMap-inf": (lambda: AffineMap([[np.inf]], [0.0]), "matrix"),
+    "AffineMap-nan-offset": (lambda: AffineMap(np.eye(1), [np.nan]), "offset"),
+    "AlphaSchedule-scalars": (lambda: AlphaSchedule(1.0, 1.0), "alpha schedule"),
+    "AlphaSchedule-None": (lambda: AlphaSchedule(None, None), "alpha schedule"),
+    "AlphaSchedule-None-values": (lambda: AlphaSchedule((0.0,), None), "alpha schedule"),
+    "QviProblem-bool": (lambda: QviProblem(_OP, _CON, 1, known_solution=[True]), "known_solution"),
+    "descriptor-text-bound": (
+        lambda: load_problem({**BOX2, "set": {"type": "box", "lo": "0"}}), "set.lo"),
+    "descriptor-short-bound": (
+        lambda: load_problem({**BOX2, "set": {"type": "box", "hi": [1.0]}}), "set.hi"),
+    "descriptor-bool-matrix": (
+        lambda: load_problem({**BOX2, "operator": {"matrix": [[True, False], [False, True]]}}),
+        "operator.matrix"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARRAYS))
+def test_array_inputs_pass_one_check(case):
+    make, field = BAD_ARRAYS[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}[ :]"):
+        make()
+
+
+# junk in place of an array: None, bools, text, complex numbers (numpy's
+# too), dicts, non-finite floats, ragged nested lists and wrong lengths
+_junk_entry = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.floats(), st.integers(),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
+_junk_array = st.one_of(
+    st.recursive(_junk_entry, lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+    st.lists(st.floats(), max_size=4).map(np.array),
+    st.lists(st.booleans(), min_size=1, max_size=3).map(np.array),
+    st.lists(st.complex_numbers(), min_size=1, max_size=3).map(np.array))
+ARRAY_FIELDS = {
+    "BoxSet.lo": lambda v: BoxSet(v, np.ones(2)),
+    "BoxSet.hi": lambda v: BoxSet(-np.ones(2), v),
+    "BoxSet.from_bounds": lambda v: BoxSet.from_bounds(2, v, np.inf),
+    "BallSet.center": lambda v: BallSet(v, 1.0),
+    "AffineMap.matrix": lambda v: AffineMap(v, np.zeros(2)),
+    "AffineMap.offset": lambda v: AffineMap(np.eye(2), v),
+    "QviProblem.known_solution": lambda v: QviProblem(_OP, _CON, 2, known_solution=v),
+    "AlphaSchedule.times": lambda v: AlphaSchedule(v, (1.0, 2.0)),
+    "AlphaSchedule.values": lambda v: AlphaSchedule((0.0, 1.0), v),
+}
+
+
+@given(st.sampled_from(sorted(ARRAY_FIELDS)), _junk_array)
+def test_junk_arrays_raise_only_validation_errors(field, value):
+    try:
+        ARRAY_FIELDS[field](value)
+    except ValidationError:
+        pass
+
+
+def test_array_fields_hold_read_only_copies():
+    given_arrays = [np.zeros(2), np.ones(2), np.zeros(2), np.eye(2), np.zeros(2), np.zeros(2)]
+    box = BoxSet(*given_arrays[:2])
+    affine = AffineMap(*given_arrays[3:5])
+    kept = [box.lo, box.hi, BallSet(given_arrays[2], 1.0).center, affine.matrix, affine.offset,
+            QviProblem(_OP, _CON, 2, known_solution=given_arrays[5]).known_solution]
+    for before, after in zip(given_arrays, kept):
+        assert not after.flags.writeable and not np.shares_memory(before, after)
+        assert after.dtype == np.float64 and np.array_equal(before, after)
 
 
 @pytest.mark.parametrize("value", [3, 3.0, np.float64(3.0), np.float32(0.1), np.int64(3),
