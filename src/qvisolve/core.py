@@ -32,9 +32,47 @@ class NumericFailure(ArithmeticError):
 
 
 _FLOAT = np.dtype(float)
-#: array kinds whose entries are not real numbers (see `as_number`) -> name; an
-#: object array may hold numpy complex scalars as well, which float() only warns about
+#: array kinds whose entries are not real numbers (see `as_number`) -> name
 _NOT_REAL = {"b": "bool", "c": "complex", "U": "text", "S": "text"}
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _entry_types(values) -> set:
+    """The types of the entries of a list or tuple, nested ones included; a
+    nested array stands for its dtype's scalar type."""
+    types = set(map(type, values))
+    if not types.isdisjoint((list, tuple, np.ndarray)):
+        for v in values:
+            if isinstance(v, np.ndarray):
+                types.add(v.dtype.type)
+            elif isinstance(v, (list, tuple)):
+                types |= _entry_types(v)
+    return types
+
+
+def _real_array(values) -> Array:
+    """values as a float64 array, values itself when it is one. Bool, complex
+    or text entries are a TypeError; other failures of float() propagate.
+    The dtype tells most kinds, but numpy upcasts a bool among numbers in a
+    list ([True, 1.0] gives [1., 1.]), and float() takes the bools and numpy
+    complex scalars of an object array: lists and object arrays are read
+    entry by entry."""
+    a = np.asarray(values)
+    if a is values and a.dtype is _FLOAT:
+        return a
+    kind = _NOT_REAL.get(a.dtype.kind)
+    if kind is None:
+        if isinstance(values, (list, tuple)):
+            types = _entry_types(values)
+        else:
+            types = set(map(type, a.flat)) if a.dtype == object else ()
+        if not _BOOLS.isdisjoint(types):
+            kind = "bool"
+        elif any(issubclass(t, np.complexfloating) for t in types):
+            kind = "complex"
+    if kind:
+        raise TypeError(f"could not convert {kind} entries to float")
+    return a.astype(float, copy=False)
 
 
 def as_array(values, name: str, dim: Optional[int] = None, *, square: bool = False,
@@ -45,12 +83,7 @@ def as_array(values, name: str, dim: Optional[int] = None, *, square: bool = Fal
     (None, text, bool or complex entries, a ragged list, a wrong shape) is a
     ValidationError that starts with name. May share memory with values."""
     try:
-        a = np.asarray(values)
-        if a.dtype is not _FLOAT:
-            kind = _NOT_REAL.get(a.dtype.kind)
-            if kind or a.dtype == object and any(isinstance(v, np.complexfloating) for v in a.flat):
-                raise TypeError(f"could not convert {kind or 'complex'} entries to float")
-            a = a.astype(float)
+        a = _real_array(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: {exc}") from None
     if fill and a.ndim == 0:
@@ -136,9 +169,13 @@ def require_count(value, name: str) -> None:
 
 
 def oracle_result(value, dim: int, what: str) -> Array:
-    """An oracle's output as a float vector of the right shape (else
-    ValidationError). Finiteness is left to the caller (see the step kernel)."""
-    r = np.asarray(value, dtype=float)
+    """An oracle's output as a float vector of the right shape (else a
+    ValidationError naming the oracle; bool, complex and text outputs too).
+    Finiteness is left to the caller (see the step kernel)."""
+    try:
+        r = _real_array(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from None
     if r.shape != (dim,):
         raise ValidationError(f"{what} returned shape {r.shape}, expected ({dim},)")
     return r

@@ -156,7 +156,7 @@ def make_single_set_problem(
 ) -> QviProblem:
     """Plain VI: the constraint set ignores x, so lip_l = 0."""
     constraint = ConstraintSpec(
-        project=lambda x, z: np.asarray(base_projection(z), dtype=float),
+        project=lambda x, z: base_projection(z),
         lip_l=0.0,
     )
     return QviProblem(operator=operator, constraint=constraint, dim=n,
@@ -222,6 +222,10 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     by beta*C x for a random linear C of unit spectral norm. b = -A @ x_target
     for a seeded point well inside K(x_target), making x_target the exact
     solution. Deterministic in (n, seed, constants).
+
+    The problem holds two n x n matrices, A and beta*C. Each n x n temporary
+    is dropped as soon as it has been used, so the build peaks at about four,
+    set by the copies inside np.linalg.qr.
     """
     require_count(n, "n")
     if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
@@ -231,21 +235,27 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     require_nonnegative(beta, "beta")
 
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     eigs = rng.uniform(size=n)
     eigs = eigs / eigs.max()
-    s = (q * eigs) @ q.T
-    a = rho_target * np.eye(n) + (L_target - rho_target) * s
+    a = (q * eigs) @ q.T  # S
+    del q
+    a *= L_target - rho_target
+    a += 0.0  # as rho*I + (L-rho)*S does: an off-diagonal -0.0 becomes +0.0
+    a.flat[:: n + 1] += rho_target
 
     c = rng.standard_normal((n, n))
-    c = c / np.linalg.svd(c, compute_uv=False)[0]
+    c /= np.linalg.svd(c, compute_uv=False)[0]
+    c *= beta
+    shift = AffineMap(c, np.zeros(n))
+    del c
 
     g = rng.standard_normal(n)
     x_target = (0.5 / (1.0 + beta)) * g / np.linalg.norm(g)
     b = -a @ x_target
 
     spec = MovingSetSpec(
-        shift=AffineMap(beta * c, np.zeros(n)),
+        shift=shift,
         shift_lipschitz=beta,
         base_projection=BallSet(np.zeros(n), 1.0).project,
     )

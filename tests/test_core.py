@@ -25,7 +25,8 @@ from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
 from qvisolve.dynamics import AlphaSchedule, FlowConfig
 from qvisolve.problems import (AffineMap, BallSet, BoxSet, MovingSetSpec, load_problem,
-                               make_affine_qvi, make_l2_example, make_moving_box_problem)
+                               make_affine_qvi, make_l2_example, make_moving_box_problem,
+                               make_single_set_problem, moving_set_project)
 from qvisolve.solvers import SolverConfig
 
 from oracles import assert_finite_arguments, poisoned_problem
@@ -113,6 +114,13 @@ BAD_ARRAYS = {
     "AffineMap-complex-array": (lambda: AffineMap(np.array([[1j]]), [0.0]), "matrix"),
     "AffineMap-inf": (lambda: AffineMap([[np.inf]], [0.0]), "matrix"),
     "AffineMap-nan-offset": (lambda: AffineMap(np.eye(1), [np.nan]), "offset"),
+    # numpy upcasts a bool among numbers in a list, so these are read entry by entry
+    "BoxSet-mixed-bool": (lambda: BoxSet([True, 1.0], [2.0, 2.0]), "box lo"),
+    "BallSet-mixed-np.bool_": (lambda: BallSet([1.0, np.True_], 1.0), "ball center"),
+    "AffineMap-mixed-bool-matrix": (
+        lambda: AffineMap([[1.0, True], [0.0, 1.0]], [0.0, 0.0]), "matrix"),
+    "AffineMap-bool-array-row": (
+        lambda: AffineMap([np.array([True, False]), [0.0, 1.0]], [0.0, 0.0]), "matrix"),
     "AlphaSchedule-scalars": (lambda: AlphaSchedule(1.0, 1.0), "alpha schedule"),
     "AlphaSchedule-None": (lambda: AlphaSchedule(None, None), "alpha schedule"),
     "AlphaSchedule-None-values": (lambda: AlphaSchedule((0.0,), None), "alpha schedule"),
@@ -245,6 +253,35 @@ def test_nan_oracle_raises_numeric_failure():
     problem = QviProblem(op, ConstraintSpec(lambda x, z: z, 0.0), dim=2)
     with pytest.raises(NumericFailure):
         evaluate_operator(problem, np.ones(2))
+
+
+# an oracle output that is not real: complex, bool or text; a list (of mixed
+# bools and floats) too, which numpy would convert to floats without complaint
+NOT_REAL_OUTPUTS = {
+    "complex": (lambda x: (1 + 1j) * x, "complex"),
+    "bool": (lambda x: x > 0, "bool"),
+    "text": (lambda x: x.astype(str), "text"),
+    "mixed-list": (lambda x: [True, *x[1:]], "bool"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_REAL_OUTPUTS))
+def test_oracle_outputs_must_be_real(case):
+    make, kind = NOT_REAL_OUTPUTS[case]
+    message = f"could not convert {kind} entries to float"
+    operator = QviProblem(OperatorSpec(make, 1.0, 1.0), ConstraintSpec(lambda x, z: z, 0.0), dim=2)
+    with pytest.raises(ValidationError, match=f"^operator oracle: {message}"):
+        evaluate_operator(operator, [1.0, 2.0])
+    projection = QviProblem(OperatorSpec(_identity, 1.0, 1.0),
+                            ConstraintSpec(lambda x, z: make(z), 0.0), dim=2)
+    with pytest.raises(ValidationError, match=f"^projection oracle: {message}"):
+        project(projection, [1.0, 2.0], [1.0, 2.0])
+    single_set = make_single_set_problem(2, OperatorSpec(_identity, 1.0, 1.0), make)
+    with pytest.raises(ValidationError, match=f"^projection oracle: {message}"):
+        project(single_set, [1.0, 2.0], [1.0, 2.0])
+    spec = MovingSetSpec(make, 0.0, _identity)
+    with pytest.raises(ValidationError, match=f"^shift oracle: {message}"):
+        moving_set_project(spec, np.ones(2), np.ones(2))
 
 
 # public one-shot entry point -> (call, operator calls, projection calls)

@@ -1,5 +1,6 @@
 """Traces hold a bounded number of n-vectors: `solve` keeps only its final
-iterate and `integrate` only its endpoint unless asked for every state.
+iterate and `integrate` only its endpoint unless asked for every state. The
+affine builder drops each n x n temporary once it has used it.
 
 The bound is on memory allocated during the call (tracemalloc, which numpy
 reports its buffers to), so it holds whatever the machine's speed. Keeping
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from qvisolve import FlowConfig, SolverConfig, integrate, make_l2_example, solve
+from qvisolve.problems import make_affine_qvi
 from qvisolve.solvers import VARIANTS
 
 N = 100_000
@@ -50,3 +52,14 @@ def test_integrate_memory_is_bounded(l2_large):
     assert trace.status == "completed"
     assert len(trace.t) == 41 and trace.x.shape == (1, N)
     assert peak < BOUND, f"{peak / 1e6:.1f} MB"
+
+
+def test_affine_build_memory_is_bounded():
+    # the problem keeps two n x n matrices, and np.linalg.qr's own copies set
+    # the build's peak at about four; keeping every temporary to the end, as
+    # the build once did, peaks at about seven
+    n = 300
+    make_affine_qvi(2, seed=7, rho_target=1.0, L_target=3.0, beta=0.1)  # lazy imports
+    peak, _ = peak_bytes(lambda: make_affine_qvi(n, seed=7, rho_target=1.0, L_target=3.0,
+                                                 beta=0.1))
+    assert peak < 5 * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 floats"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,55 @@ def test_affine_deterministic_in_seed():
     assert np.array_equal(a.operator.func.matrix, b.operator.func.matrix)
     assert np.array_equal(a.operator.func.offset, b.operator.func.offset)
     assert np.array_equal(a.known_solution, b.known_solution)
+
+
+# (n, seed, rho, L, beta) -> sha256 over the bytes of the operator's matrix and
+# offset, the shift matrix and known_solution, in that order, recorded before
+# make_affine_qvi dropped its n x n temporaries as soon as it had used them.
+# With more BLAS threads the n = 300 QR rounds differently, so the builds run
+# in a child process with one BLAS thread, as the benchmark pins it.
+AFFINE_DIGESTS = {
+    (1, 0, 1.0, 2.0, 0.0): "246521482c9ad6664dd93d2906df42632ea92e305533725313c3272eb15f2711",
+    (2, 1, 1e-300, 1e300, 0.45): "65740e07d22afdb3a71492d3dc6e3ced505ba406cdf4e88fdb689a2c5a342fcf",
+    # L == rho: (L - rho)*S holds -0.0 off the diagonal, which adding rho*I makes +0.0
+    (3, 5, 2.0, 2.0, 0.0): "2a2f734a7cbbd74635e5ef209574d0d9d13c1eaab126c7e3bbe6faab6bda52d4",
+    (4, 11, 0.5, 2.0, 0.0): "eff9eed4976742d41c97ed11d2bc3af6cf422298da491abd55ac6475c7b979e8",
+    (5, 3, 1.0, 2.0, 0.2): "ba41874bc3dff6c01f79ca5c6c3100378f9bcf0d011c19d711a90c640731dc12",
+    (6, 7, 1.0, 3.0, 0.1): "e0c3781cbfdae220ab6e8a477d620a1100e26e7c1feca0b10a9231ebd039f887",
+    (7, 2, 0.5, 2.0, 0.2): "c65aaa15ebb87df9a76e366f06d9aa42a8153a9322f1efacf8aaf7fa192ed82f",
+    (50, 4, 2.0, 2.0, 0.1): "0f24f836aafbc574163c2a488f43548d5ddd89b38f640c635a14456f53c370fc",
+    (300, 7, 1.0, 3.0, 0.1): "c213482769dcef6ed176305777d32058104f2cfc8fb9865411d3b58877f4d9d3",
+}
+_AFFINE_DIGEST_CHILD = """
+import hashlib, inspect, json, sys
+from qvisolve.problems import make_affine_qvi
+digests = []
+for case in json.loads(sys.argv[1]):
+    p = make_affine_qvi(*case)
+    shift = inspect.getclosurevars(p.constraint.project).nonlocals["spec"].shift
+    h = hashlib.sha256()
+    for a in (p.operator.func.matrix, p.operator.func.offset, shift.matrix, p.known_solution):
+        h.update(a.tobytes())
+    digests.append(h.hexdigest())
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def affine_digests():
+    cases = list(AFFINE_DIGESTS)
+    path = [str(Path(problems.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    child = subprocess.run([sys.executable, "-c", _AFFINE_DIGEST_CHILD, json.dumps(cases)],
+                           env=env, capture_output=True, text=True, check=True)
+    return dict(zip(cases, json.loads(child.stdout)))
+
+
+@pytest.mark.parametrize("case", list(AFFINE_DIGESTS),
+                         ids=[f"n={c[0]}-seed={c[1]}" for c in AFFINE_DIGESTS])
+def test_affine_build_keeps_its_bytes(affine_digests, case):
+    assert affine_digests[case] == AFFINE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.0, True])
