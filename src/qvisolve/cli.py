@@ -125,7 +125,7 @@ def cmd_flow(args) -> int:
     config = FlowConfig(lam=args.lam, h=args.h, t_end=args.t_end,
                         scheme=args.scheme, alpha=_parse_alpha(args.alpha))
     trace = integrate(problem, x0, config, keep_states=args.coords)
-    flow_to_csv(trace, _out(args), include_coords=args.coords)
+    flow_to_csv(trace, _out(args))
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 
 
@@ -286,24 +286,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _argv_from_config(doc: dict) -> List[str]:
+    """The command line a config document stands for. Each valued option is
+    one '--key=value' token, so a value that starts with '-' stays a value."""
     if "command" not in doc:
         raise ValidationError("config: missing 'command'")
     argv = [str(doc["command"])]
     for key, value in doc.items():
-        if key == "command":
+        if key == "command" or value is None or value is False:
             continue
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
+        if value is True:
+            argv.append(flag)
         elif isinstance(value, dict):
-            argv += [flag, json.dumps(value)]
+            argv.append(f"{flag}={json.dumps(value)}")
         elif isinstance(value, (list, tuple)):
-            argv += [flag, ",".join(str(v) for v in value)]
-        elif value is None:
-            continue
+            argv.append(f"{flag}={','.join(str(v) for v in value)}")
         else:
-            argv += [flag, str(value)]
+            argv.append(f"{flag}={value}")
     return argv
 
 

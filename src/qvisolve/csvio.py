@@ -84,16 +84,14 @@ def compare_to_csv(traces, out: Sink) -> None:
     _write_table(out, comments, ["variant", *TRACE_HEADER], rows)
 
 
-def flow_to_csv(trace, out: Sink, include_coords: bool = False) -> None:
+def flow_to_csv(trace, out: Sink) -> None:
     """Columns t,V,envelope (empty without a known solution; an overflowed
-    envelope prints as inf), then x0, x1, ... with include_coords."""
-    if include_coords and len(trace.x) != len(trace.t):
-        raise ValidationError("coordinates need every state: integrate with keep_states=True")
+    envelope prints as inf), then x0, x1, ... when the flow kept its states."""
     header = ["t", "V", "envelope"]
     series = [[""] * len(trace.t) if c is None else [format_float(v) for v in c.tolist()]
               for c in (trace.t, trace.V, trace.envelope)]
     rows = map(",".join, zip(*series))
-    if include_coords:  # one state at a time, as the rows are joined
+    if trace.keep_states:  # one state at a time, as the rows are joined
         header += [f"x{i}" for i in range(trace.x.shape[1])]
         rows = (",".join([row, *map(format_float, x.tolist())]) for row, x in zip(rows, trace.x))
     _write_table(out, [f"status: {trace.status}", f"Lambda: {format_float(trace.Lambda)}"],
@@ -138,11 +136,13 @@ def read_csv(source: Sink):
     """Split a CSV written by this package into (comments, header, rows,
     numbers): the stripped text of each '#' line, the first other line split on
     commas (None when absent), every later line, unsplit, and the 1-based file
-    line number of each of those rows. Empty lines are skipped."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    line number of each of those rows. Empty lines are skipped; a file that is
+    not UTF-8 is a ValidationError."""
+    try:
+        text = (Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path))
+                else source.read())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"CSV is not UTF-8 text: {exc}") from None
     comments: List[str] = []
     header: Optional[List[str]] = None
     rows: List[str] = []
@@ -163,6 +163,17 @@ def read_csv(source: Sink):
 def comment_meta(comments: List[str]) -> dict:
     """'key: value' comment lines as a dict (a later key wins)."""
     return {k.strip(): v.strip() for k, _, v in (c.partition(":") for c in comments)}
+
+
+def _meta_number(meta: dict, key: str) -> Optional[float]:
+    """meta[key] as a float, None when absent; other text is a ValidationError
+    naming the key."""
+    if key not in meta:
+        return None
+    try:
+        return float(meta[key])
+    except ValueError:
+        raise ValidationError(f"{key}: not a number: {meta[key]!r}") from None
 
 
 def _width_error(number: int, cells: int, width: int) -> ValidationError:
@@ -186,9 +197,16 @@ def _floats(rows: List[str], numbers: List[int], width: int) -> np.ndarray:
 
 
 def _trace_columns(rows: List[str], numbers: List[int]) -> dict:
-    """'k,residual,dist_to_solution' lines as one array per column."""
+    """'k,residual,dist_to_solution' lines as one array per column. A k that
+    is not a non-negative integer is a ValidationError naming its line."""
     data = _floats(rows, numbers, len(TRACE_HEADER))
-    return {"k": data[:, 0].astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
+    k = data[:, 0]
+    bad = np.flatnonzero(~((k >= 0) & (k < 2.0 ** 63) & (k == np.trunc(k))))  # NaN too
+    if len(bad):
+        i = bad[0]
+        raise ValidationError(f"line {numbers[i]}: k must be a non-negative integer, "
+                              f"got {rows[i].partition(',')[0]!r}")
+    return {"k": k.astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
 
 
 def read_trace_csv(source: Sink) -> dict:
@@ -196,7 +214,7 @@ def read_trace_csv(source: Sink) -> dict:
     comments, _, rows, numbers = read_csv(source)
     meta = comment_meta(comments)
     return {"variant": meta.get("variant"),
-            "lambda": float(meta["lambda"]) if "lambda" in meta else None,
+            "lambda": _meta_number(meta, "lambda"),
             "status": meta.get("status"),
             "certificate_warning": meta.get("certificate_warning") == "true",
             **_trace_columns(rows, numbers)}
@@ -226,7 +244,7 @@ def read_flow_csv(source: Sink) -> dict:
     meta = comment_meta(comments)
     data = _floats(rows, numbers, max(len(header or ()), 3))
     out = {"status": meta.get("status"),
-           "Lambda": float(meta["Lambda"]) if "Lambda" in meta else None,
+           "Lambda": _meta_number(meta, "Lambda"),
            "t": data[:, 0], "V": data[:, 1], "envelope": data[:, 2]}
     if data.shape[1] > 3:
         out["x"] = data[:, 3:]

@@ -123,11 +123,11 @@ class FlowConfig:
 class FlowTrace:
     """Samples of one trajectory, recorded at every step starting from t = 0.
 
-    x holds every state, one row per entry of t, when the flow was integrated
-    with keep_states; otherwise it is the endpoint alone, shape (1, n). Either
-    way x[-1] is the endpoint. V and envelope are filled when the problem has
-    a known solution; the envelope exponent is Lambda * \\int_0^t alpha (which
-    reduces to Lambda*t for alpha == 1).
+    x holds every state (and its CSV writes them), one row per entry of t,
+    when the flow was integrated with keep_states; otherwise it is the
+    endpoint alone, shape (1, n). Either way x[-1] is the endpoint. V and
+    envelope are filled when the problem has a known solution; the envelope
+    exponent is Lambda * \\int_0^t alpha (Lambda*t for alpha == 1).
     """
 
     t: Array
@@ -136,6 +136,7 @@ class FlowTrace:
     envelope: Optional[Array]
     Lambda: float
     status: str
+    keep_states: bool
 
 
 class _Lyapunov:
@@ -182,8 +183,8 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     with it: y is checked in tseng_field, each later RK4 stage's argument
     x + c*h*k here, and each step's result by the divergence guard.
 
-    The trace keeps every state only with keep_states (the CSV coordinates
-    need them); otherwise memory stays a few n-vectors plus the scalar series.
+    The trace keeps every state only with keep_states (its CSV then writes
+    them); otherwise memory stays a few n-vectors plus the scalar series.
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
     h, lam, alpha, nsteps = config.h, config.lam, config.alpha, config.steps
@@ -247,4 +248,4 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         exponent = np.where(scaled_time == 0.0, 0.0, cert.Lambda * scaled_time)
         envelope = V[0] * np.exp(exponent)
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
-                     Lambda=cert.Lambda, status=status)
+                     Lambda=cert.Lambda, status=status, keep_states=keep_states)

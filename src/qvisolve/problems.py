@@ -206,10 +206,8 @@ def make_l2_example(n: int, alpha: float = 2.0) -> QviProblem:
 
 def make_halfline_vi() -> QviProblem:
     """1-D test VI: K = [1, inf), F(x) = x, solution x* = 1."""
-    box = BoxSet.from_bounds(1, 1.0, None)
-    op = OperatorSpec(AffineMap(np.eye(1), np.zeros(1)), lipschitz_L=1.0, strong_rho=1.0)
-    return make_single_set_problem(1, op, box.project,
-                                   known_solution=np.array([1.0]), name="halfline_vi")
+    return load_problem({"family": "single_set_vi", "n": 1, "set": {"type": "box", "lo": 1.0},
+                         "known_solution": [1.0]})
 
 
 def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
@@ -270,14 +268,9 @@ def make_moving_box_problem(n: int = 4, shift_scale: float = 0.1) -> QviProblem:
     """Moving box K(x) = shift_scale*x + [-1, 1]^n with F(x) = x; solution 0."""
     require_count(n, "n")
     require_real(shift_scale, "shift_scale")
-    spec = MovingSetSpec(
-        shift=AffineMap(shift_scale * np.eye(n), np.zeros(n)),
-        shift_lipschitz=abs(shift_scale),
-        base_projection=BoxSet.from_bounds(n, -1.0, 1.0).project,
-    )
-    op = OperatorSpec(AffineMap(np.eye(n), np.zeros(n)), lipschitz_L=1.0, strong_rho=1.0)
-    return make_moving_set_problem(n, op, spec, known_solution=np.zeros(n),
-                                   name=f"moving_box(n={n}, scale={shift_scale})")
+    return load_problem({"family": "moving_set", "n": n,
+                         "base_set": {"type": "box", "lo": -1.0, "hi": 1.0},
+                         "shift_scale": shift_scale, "known_solution": np.zeros(n)})
 
 
 def default_problem_suite() -> list[QviProblem]:
@@ -361,17 +354,26 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
 
 def read_json_object(source: Union[str, Path], name: str) -> dict:
     """The JSON object that source holds: a str that starts with '{' is JSON
-    text, any other str or a Path names a file. A missing file, invalid JSON
-    or a value that is not an object is a ValidationError naming `name`."""
+    text, any other str or a Path names a file. A missing or unreadable
+    file, one that is not UTF-8, invalid JSON (nested too deeply for the
+    parser too) or a value that is not an object is a ValidationError naming
+    `name`."""
     text = source
     if not (isinstance(source, str) and source.lstrip().startswith("{")):
-        if not Path(source).is_file():
-            raise ValidationError(f"{name}: file not found: {source}")
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            if not Path(source).is_file():
+                raise ValidationError(f"{name}: file not found: {source}")
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{name}: not UTF-8 text: {exc}") from None
+        except OSError as exc:  # a name too long, say
+            raise ValidationError(f"{name}: cannot read the file: {exc.strerror}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{name}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{name}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{name}: expected a JSON object, got {type(doc).__name__}")
     return doc

@@ -562,6 +562,9 @@ def test_sweep_beta_grid_moving_column(capsys):
 
 # -------------------------------------------------------------------- config
 
+# deeper than the JSON parser's recursion allows
+DEEP_JSON = '{"a": ' + "[" * 200_000
+
 def test_config_document_round_trip(capsys, tmp_path):
     flag_target = tmp_path / "by_flags.csv"
     config_target = tmp_path / "by_config.csv"
@@ -611,14 +614,52 @@ def test_config_document_with_flag_list_and_null(tmp_path):
     ("{not json", "config: invalid JSON: "),
     # --config takes a path only: inline JSON names a file that is not there
     ('{"command": "certify"}', "config: file not found"),
+    pytest.param(b'{"command": "\xff"}', "config: not UTF-8 text: ", id="byte-0xff"),
+    pytest.param(DEEP_JSON, "config: invalid JSON: nested too deeply", id="nested-too-deeply"),
+    # a name the file system rejects is passed as the path itself
+    pytest.param("a" * 5000, "config: cannot read the file: File name too long",
+                 id="name-too-long"),
 ])
 def test_config_must_be_a_file_holding_an_object(capsys, tmp_path, text, message):
     config_path = tmp_path / "run.json"
-    config_path.write_text(text)
-    argv = ["--config", text if "not found" in message else str(config_path)]
+    config_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    as_path = "not found" in message or "cannot read" in message
+    argv = ["--config", text if as_path else str(config_path)]
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("text,inline,message", [
+    pytest.param(b'{"family": "\xff"}', False, "problem: not UTF-8 text: ", id="byte-0xff"),
+    pytest.param(DEEP_JSON, True, "problem: invalid JSON: nested too deeply",
+                 id="nested-too-deeply-inline"),
+    pytest.param(DEEP_JSON, False, "problem: invalid JSON: nested too deeply",
+                 id="nested-too-deeply-file"),
+    pytest.param("a" * 5000, True, "problem: cannot read the file: File name too long",
+                 id="name-too-long"),
+])
+def test_problem_document_errors_name_the_problem(capsys, tmp_path, text, inline, message):
+    path = tmp_path / "problem.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    code, out, err = run(capsys, ["solve", "--problem", text if inline else str(path),
+                                  "--x0", "zeros", "--lambda", "0.1"])
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("x0", [[-0.5, 1.0], "-0.5,1.0"], ids=["list", "text"])
+def test_config_values_may_start_with_a_dash(tmp_path, x0):
+    problem = {"family": "single_set_vi", "n": 2, "set": {"type": "box", "lo": -1.0, "hi": 1.0}}
+    flag_target = tmp_path / "by_flags.csv"
+    config_target = tmp_path / "by_config.csv"
+    assert main(["solve", "--problem", json.dumps(problem), "--x0=-0.5,1.0",
+                 "--lambda", "0.1", "-o", str(flag_target)]) == 0
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"command": "solve", "problem": problem, "x0": x0,
+                                       "lambda": 0.1, "output": str(config_target)}))
+    assert main(["--config", str(config_path)]) == 0
+    assert config_target.read_bytes() == flag_target.read_bytes()
 
 
 def test_config_missing_command(capsys, tmp_path):

@@ -117,6 +117,8 @@ BAD_ARRAYS = {
     # numpy upcasts a bool among numbers in a list, so these are read entry by entry
     "BoxSet-mixed-bool": (lambda: BoxSet([True, 1.0], [2.0, 2.0]), "box lo"),
     "BallSet-mixed-np.bool_": (lambda: BallSet([1.0, np.True_], 1.0), "ball center"),
+    "BallSet-complex-object-array": (
+        lambda: BallSet(np.array([1.0, np.complex128(1j)], dtype=object), 1.0), "ball center"),
     "AffineMap-mixed-bool-matrix": (
         lambda: AffineMap([[1.0, True], [0.0, 1.0]], [0.0, 0.0]), "matrix"),
     "AffineMap-bool-array-row": (

@@ -170,3 +170,38 @@ def test_flow_reader_rejects_a_short_header():
     with pytest.raises(ValidationError, match="flow header 't,V' lacks t,V,envelope"):
         read_flow_csv(io.StringIO("t,V\n0.0,1.0\n"))
 
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_trace_csv, TRACE + ",0.25,0.1\n", 5),
+    (read_trace_csv, TRACE + "1e300,0.25,0.1\n", 5),
+    (read_trace_csv, TRACE.replace("1,0.5,", "1.5,0.5,"), 4),
+    (read_trace_csv, TRACE.replace("0,1.0", "-1,1.0"), 3),
+    (read_trace_csv, TRACE + "inf,0.25,0.1\n", 5),
+    (read_compare_csv, COMPARE + "tseng,,0.5,0.1\n", 4),
+    (read_compare_csv, COMPARE + "tseng,1e300,0.5,0.1\n", 4),
+    (read_compare_csv, COMPARE + "tseng,2.5,0.5,0.1\n", 4),
+])
+def test_reader_rejects_k_that_is_not_a_count(reader, text, line):
+    with pytest.raises(ValidationError, match=f"^line {line}: k must be a non-negative integer"):
+        reader(io.StringIO(text))
+
+
+@pytest.mark.parametrize("reader, text, key", [
+    (read_trace_csv, "# lambda: abc\n" + TRACE, "lambda"),
+    (read_flow_csv, "# Lambda: abc\n" + FLOW, "Lambda"),
+])
+def test_reader_rejects_metadata_that_is_not_a_number(reader, text, key):
+    with pytest.raises(ValidationError, match=f"^{key}: not a number: 'abc'"):
+        reader(io.StringIO(text))
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_trace_csv, TRACE), (read_compare_csv, COMPARE),
+    (read_flow_csv, FLOW), (read_sweep_csv, SWEEP),
+])
+def test_reader_rejects_a_file_that_is_not_utf8(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8") + b"# \xff\n")
+    with pytest.raises(ValidationError, match="^CSV is not UTF-8 text"):
+        reader(path)

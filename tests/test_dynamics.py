@@ -319,7 +319,7 @@ def test_flow_csv_round_trip(halfline, tmp_path):
     trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=0.5, t_end=3.0, scheme="rk4"),
                       keep_states=True)
     path = tmp_path / "flow.csv"
-    flow_to_csv(trace, path, include_coords=True)
+    flow_to_csv(trace, path)
     data = read_flow_csv(path)
     assert data["status"] == "completed"
     assert data["Lambda"] == trace.Lambda
@@ -327,12 +327,6 @@ def test_flow_csv_round_trip(halfline, tmp_path):
     assert np.array_equal(data["V"], trace.V)
     assert np.array_equal(data["envelope"], trace.envelope)
     assert np.array_equal(data["x"], trace.x)
-
-
-def test_flow_csv_coords_need_every_state(halfline):
-    trace = integrate(halfline, [2.0], FlowConfig(lam=0.1, h=0.5, t_end=3.0))
-    with pytest.raises(ValidationError, match="keep_states"):
-        flow_to_csv(trace, io.StringIO(), include_coords=True)
 
 
 def test_flow_csv_without_solution(tmp_path):
