@@ -5,7 +5,8 @@ lambda, optionally beta): the contraction modulus theta of the projected step
 map, the continuous-time exponent Lambda, the discrete alignment constant mu
 and squared per-step rate bound r, the two uniqueness bounds on l, and the
 moving-set condition. They are written once, in certificate_table, which
-broadcasts over arrays; full_certificate and best_lambda are views of it.
+takes arrays and single numbers through one broadcast; full_certificate and
+best_lambda are views of it, and solve and integrate read it directly.
 Certificates report the conditions as data; solvers run regardless and only
 tag their traces when a condition fails, because problems routinely converge
 outside the certified regime.
@@ -94,10 +95,23 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        values = {name: math.nan if d[name] is None else float(d[name]) for name in _FLOAT_FIELDS}
-        if d["moving_rhs"] is None:
-            values["moving_rhs"] = None
-        return cls(**values, **{name: bool(d[name]) for name in _FLAG_FIELDS})
+        """to_dict's mapping read back: null is NaN, or None for moving_rhs. A
+        missing field, a flag that is not a bool and a float field that is not
+        a number or null are each a ValidationError naming the field."""
+        for name in _FLOAT_FIELDS + _FLAG_FIELDS:
+            if name not in d:
+                raise ValidationError(f"certificate field {name} is missing")
+        values = {}
+        for name in _FLOAT_FIELDS:
+            if d[name] is not None:
+                values[name] = as_number(d[name], f"certificate field {name}")
+            else:
+                values[name] = None if name == "moving_rhs" else math.nan
+        for name in _FLAG_FIELDS:
+            if type(d[name]) is not bool:
+                raise ValidationError(f"certificate field {name} must be true or false, "
+                                      f"got {d[name]!r}")
+        return cls(**values, **{name: d[name] for name in _FLAG_FIELDS})
 
 
 _FLAG_FIELDS = tuple(f.name for f in fields(Certificate) if f.type == "bool")
@@ -135,31 +149,23 @@ def constant_errors(L, rho, lams: Sequence, ls: Sequence, betas: Sequence) -> np
     return errors
 
 
-#: argument types that certificate_table takes without broadcasting
-_SCALARS = frozenset((int, float, np.float64))
-
-
 def certificate_table(L, rho, l, lam, beta=math.nan) -> Dict[str, np.ndarray]:
-    """The constants table of the README, elementwise over arrays of (L, rho,
-    l, lambda, beta) broadcast together: one array per Certificate field, plus
-    f_lipschitz = (1+theta)(1+lam*L), the Lipschitz bound of the flow's field.
+    """The constants table of the README over (L, rho, l, lambda, beta),
+    arrays or single numbers broadcast together: one array (a numpy scalar for
+    single numbers) per Certificate field, plus f_lipschitz = (1+theta)(1+lam*L).
 
-    The constants are taken as valid (see ProblemConstants); a NaN beta, the
-    default, means no moving set. A negative radicand gives a NaN theta, which
-    fails every condition. Squares use float_power, which rounds as libm pow
-    (Python's float ** 2) does; x * x can differ in the last bit."""
-    args = (L, rho, l, lam, beta)
-    if _SCALARS.issuperset(map(type, args)):
-        # numpy scalars: the same arithmetic as 0-d arrays, without broadcasting
-        L, rho, l, lam, beta = map(np.float64, args)
-    else:
-        # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
-        L, rho, l, lam, beta = (a[()] for a in np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in args)))
+    The constants are taken as checked where they entered; only gamma = L/rho,
+    which can overflow, is checked again. A NaN beta, the default, means no
+    moving set; a negative radicand gives a NaN theta, which fails every
+    condition. Squares use float_power, which rounds as libm pow (Python's
+    float ** 2) does; x * x can differ in the last bit."""
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+    L, rho, l, lam, beta = (a[()] for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (L, rho, l, lam, beta))))
     with np.errstate(all="ignore"):
         gamma = L / rho
         ok = (gamma >= 1.0) & (gamma < math.inf)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # a scalar's .all() is slow
+        if not ok.all():
             bad = np.asarray(gamma)[~ok]
             raise ValidationError(f"gamma must be >= 1 and finite, got {float(bad[0])!r}")
         # the strict and the relaxed upper bound on l for a unique solution

@@ -191,6 +191,8 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     if keep_states and (nsteps + 1) * problem.dim > MAX_STATE_ENTRIES:
         raise ValidationError(f"t_end/h: {nsteps + 1} states of dimension {problem.dim} exceed "
                               f"the limit of {MAX_STATE_ENTRIES} kept entries")
+    Lam = float(certify.certificate_table(problem.operator.lipschitz_L, problem.operator.strong_rho,
+                                          problem.constraint.lip_l, lam)["Lambda"])
     xstar = problem.known_solution
 
     def f(t, xv):
@@ -234,7 +236,6 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
 
     tarr = np.array(ts)
     xarr = states[:len(ts)] if keep_states else x[None]
-    cert = certify.full_certificate(certify.ProblemConstants.of(problem, lam))
     V = envelope = None
     if lyapunov is not None:
         V = lyapunov.values()
@@ -245,7 +246,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         # with a positive exponent the bound can overflow to inf, which is the
         # honest value of the envelope there (NaN where V[0] = 0); the exponent
         # is 0 where the scaled time is, as Lambda * 0 is NaN for an infinite Lambda
-        exponent = np.where(scaled_time == 0.0, 0.0, cert.Lambda * scaled_time)
+        exponent = np.where(scaled_time == 0.0, 0.0, Lam * scaled_time)
         envelope = V[0] * np.exp(exponent)
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
-                     Lambda=cert.Lambda, status=status, keep_states=keep_states)
+                     Lambda=Lam, status=status, keep_states=keep_states)

@@ -84,6 +84,11 @@ class BallSet:
         nw = norm(w)
         if nw <= self.radius:
             return np.array(z, dtype=float)
+        if not math.isfinite(nw) and np.isfinite(w).all():
+            # <w, w> overflowed (|w| beyond about 1.34e154): scale w to its
+            # largest entry first, else the radius/inf factor gives the centre
+            w = w / np.abs(w).max()
+            nw = norm(w)
         return self.center + w * (self.radius / nw)
 
 

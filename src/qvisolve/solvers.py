@@ -163,12 +163,13 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     second projection through the next iterate's divergence guard.
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
-    cert = certify.full_certificate(certify.ProblemConstants.of(problem, config.lam))
-    warning = not cert.discrete_ok
+    table = certify.certificate_table(problem.operator.lipschitz_L, problem.operator.strong_rho,
+                                      problem.constraint.lip_l, config.lam)
+    warning = not table["discrete_ok"]
     if warning:
         logger.debug(
             "discrete sufficient condition unmet at lambda=%g (rate bound %.6g); solving anyway",
-            config.lam, cert.rate_r,
+            config.lam, table["rate_r"],
         )
     xstar = problem.known_solution
     lam = config.lam

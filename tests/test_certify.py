@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -188,6 +189,68 @@ def test_scalar_certificate_matches_broadcast_table():
             assert np.array(value, dtype=expected.dtype).tobytes() == expected.tobytes(), (i, name)
 
 
+# column -> sha256 of certificate_table's bytes over _pin_tuples(), recorded
+# before certificate_table lost its numpy-scalar path. theta and moving_rhs
+# hold NaNs (negative radicands), whose sign bit the digests pin too.
+TABLE_DIGESTS = {
+    "gamma": "93acef9b0c56f095b9c2b6d311d2773aefbae6a03ec83ea52c78834f02ccd9e7",
+    "theta": "fd0d097b93ef47e9fdc74776b4ba186168ddf237c59da1e664ce9164a9c7f1ad",
+    "radicand": "d7e389642e2d38dc20afa779125a05d2444e455bad8f80a7572c8a4d02ab274c",
+    "mu": "1ad29ccc7eb5a7b2f0b9413dc652a97a47d2fb2b5468678fd2b270670d05ba1e",
+    "Lambda": "72081c153dbf7a1059e301454f2b3ac2538a402af252607f221b1e49055db36e",
+    "rate_r": "ba2d6153960b2749055726bea3ca2391b60657064f3f17009261a9dd1ebbedcb",
+    "existence_bound": "e84823afea04486847067d1c4c67c61190d19f752898b6ac903ad93a73d3e33c",
+    "nesterov_bound": "b60e8a1b8bb45c4226321e78cf53ffc4ef4d06944e32bf1a34ad1f90438d37d7",
+    "discrete_rhs": "a9da099b8507d213742af6c8d1d47710408a692c7d1adffe79e7f9e0dc233455",
+    "moving_rhs": "b16b74334ecff0596e5d348b91c7faaf44b629609e3d962552b045674e806d01",
+    "f_lipschitz": "027d14b8a944d3c5923ff5cbe2f5fe4481f0ed44c62c54bb648f6c7bf8489e1c",
+    "existence_ok": "a117f56bf0acb24620d9515814bdec6dde19295e602e05879959b4e4ef757339",
+    "nesterov_ok": "a6946c3931a17941d9b1b90aef89c60fd0c5c6f437d5135ca6c4860175272643",
+    "continuous_ok": "28b4f41a7f3ee6d8cc87272db6e09c6d3566551fd4d18702b041a21658272a85",
+    "discrete_ok": "28b4f41a7f3ee6d8cc87272db6e09c6d3566551fd4d18702b041a21658272a85",
+    "moving_ok": "28b4f41a7f3ee6d8cc87272db6e09c6d3566551fd4d18702b041a21658272a85",
+    "radicand_ok": "d99a6f78258037f1afc38d01f116dd809e3ec94c67adafb44d0b4fb510b3197c",
+}
+# field -> sha256 of the full_certificate values over the same tuples, each
+# value hashed as np.array(value).tobytes() and None as b"None". A field holds
+# its table column's bits, so the digests are the table's, except moving_rhs:
+# None where beta is NaN.
+CERTIFICATE_DIGESTS = {
+    **{name: TABLE_DIGESTS[name] for name in certify._FLOAT_FIELDS + certify._FLAG_FIELDS},
+    "moving_rhs": "7177542a1f278e3cce7b9478c882d0d8e5b84ff8366e25045f826aa627599c8a",
+}
+
+
+def _pin_tuples(n=20_000):
+    """Seeded valid tuples: L and lambda over 10^+-300, l at five scales (0,
+    1e-300 up to 1e200), beta NaN (no moving set) or in [0, 2), which gives a
+    NaN moving_rhs above the golden ratio."""
+    rng = np.random.default_rng(14)
+    L = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    rho = L * rng.uniform(1e-3, 1.0, n)
+    l = rng.choice([0.0, 0.1, 1.0, 1e200, 1e-300], n) * rng.uniform(0.0, 2.0, n)
+    lam = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    beta = np.where(rng.random(n) < 0.5, np.nan, rng.uniform(0.0, 2.0, n))
+    return L, rho, l, lam, beta
+
+
+def test_table_columns_pinned():
+    table = certificate_table(*_pin_tuples())
+    assert {name: hashlib.sha256(col.tobytes()).hexdigest()
+            for name, col in table.items()} == TABLE_DIGESTS
+
+
+def test_full_certificate_fields_pinned():
+    hashes = {name: hashlib.sha256() for name in CERTIFICATE_DIGESTS}
+    for L, rho, l, lam, beta in zip(*(a.tolist() for a in _pin_tuples())):
+        cert = full_certificate(ProblemConstants(L, rho, l, lam,
+                                                 None if math.isnan(beta) else beta))
+        for name, h in hashes.items():
+            value = getattr(cert, name)
+            h.update(b"None" if value is None else np.array(value).tobytes())
+    assert {name: h.hexdigest() for name, h in hashes.items()} == CERTIFICATE_DIGESTS
+
+
 def test_rate_below_one_implies_positive_mu():
     rng = np.random.default_rng(99)
     for _ in range(1000):
@@ -275,6 +338,30 @@ def test_certificate_serialization_round_trip():
     text = json.dumps(cert.to_dict())
     again = Certificate.from_dict(json.loads(text))
     assert again == cert
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("discrete_ok", "false", "discrete_ok must be true or false, got 'false'"),
+    ("radicand_ok", 1, "radicand_ok must be true or false, got 1"),
+    ("moving_ok", None, "moving_ok must be true or false, got None"),
+    ("theta", True, "theta must be a number, got True"),
+    ("theta", "abc", "theta must be a number, got 'abc'"),
+    ("gamma", [1], r"gamma must be a number, got \[1\]"),
+    ("moving_rhs", "1.2", "moving_rhs must be a number, got '1.2'"),
+])
+def test_certificate_from_dict_rejects_a_bad_field(name, value, message):
+    doc = full_certificate(EXAMPLE).to_dict()
+    doc[name] = value
+    with pytest.raises(ValidationError, match="^certificate field " + message):
+        Certificate.from_dict(doc)
+
+
+@pytest.mark.parametrize("name", certify._FLOAT_FIELDS + certify._FLAG_FIELDS)
+def test_certificate_from_dict_rejects_a_missing_field(name):
+    doc = full_certificate(EXAMPLE).to_dict()
+    del doc[name]
+    with pytest.raises(ValidationError, match=f"^certificate field {name} is missing$"):
+        Certificate.from_dict(doc)
 
 
 # ---------------------------------------------------------------- best_lambda

@@ -41,6 +41,15 @@ def test_certify_stdout_json(capsys):
     assert Certificate.from_dict(doc) == cert
 
 
+def test_certify_json_with_beta_round_trips(capsys):
+    code, out, _ = run(capsys, ["certify", "--L", "3", "--rho", "1", "--l", "0.1",
+                                "--lambda", "0.1", "--beta", "0.2"])
+    assert code == 0
+    cert = full_certificate(ProblemConstants(L=3.0, rho=1.0, l=0.1, lam=0.1, beta=0.2))
+    assert cert.moving_rhs is not None
+    assert Certificate.from_dict(json.loads(out)) == cert
+
+
 def test_certify_trivial_theta(capsys):
     code, out, _ = run(capsys, ["certify", "--L", "1", "--rho", "1",
                                 "--l", "0", "--lambda", "1"])

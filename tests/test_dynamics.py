@@ -23,7 +23,7 @@ from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import norm
 from qvisolve.csvio import flow_to_csv, read_flow_csv
 
-from oracles import assert_finite_arguments, poisoned_problem, replay_iterates
+from oracles import assert_finite_arguments, counting_problem, poisoned_problem, replay_iterates
 
 
 # ------------------------------------------------------------- alpha schedule
@@ -222,6 +222,33 @@ def test_envelope_starts_at_v0_for_an_infinite_lambda():
                       FlowConfig(lam=0.1, h=0.5, t_end=1.0))
     assert trace.Lambda == np.inf
     assert trace.envelope[0] == trace.V[0] == 0.5
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1, "0.5/L", 1.0])
+def test_runs_report_the_certificate(problem_suite, lam):
+    # solve's warning and integrate's exponent are the certificate's, bit for bit
+    for problem in problem_suite:
+        step = 0.5 / problem.operator.lipschitz_L if lam == "0.5/L" else lam
+        cert = full_certificate(ProblemConstants.of(problem, step))
+        x0 = np.ones(problem.dim)
+        trace = solve(problem, x0, SolverConfig(lam=step, max_iter=1))
+        assert trace.certificate_warning is (not cert.discrete_ok), problem.name
+        flow = integrate(problem, x0, FlowConfig(lam=step, h=0.1, t_end=0.1))
+        assert type(flow.Lambda) is float and flow.Lambda.hex() == cert.Lambda.hex(), problem.name
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: solve(p, [2.0], SolverConfig(lam=0.1)),
+    lambda p: integrate(p, [2.0], FlowConfig(lam=0.1, h=0.01, t_end=100.0)),
+], ids=["solve", "integrate"])
+def test_overflowing_gamma_fails_before_any_oracle_call(halfline, run):
+    # L/rho = 1e300/1e-300 overflows although both constants are finite: the
+    # one check of the declared constants that the certificate makes again
+    problem, counts = counting_problem(QviProblem(
+        OperatorSpec(halfline.operator.func, 1e300, 1e-300), halfline.constraint, dim=1))
+    with pytest.raises(ValidationError, match="^gamma must be >= 1 and finite, got inf$"):
+        run(problem)
+    assert counts == {"operator": 0, "projection": 0}
 
 
 def test_alpha_zero_freezes_the_flow(halfline):

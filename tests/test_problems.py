@@ -98,6 +98,18 @@ def test_ball_projection_idempotent_and_nonexpansive(u, v):
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
+def test_ball_projection_of_a_far_point():
+    # ||z - center|| beyond about 1.34e154 overflows <w, w> to inf; the
+    # projection is still on the sphere along w, not the centre
+    ball = BallSet(np.zeros(2), 1.0)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(ball.project([1e155, 0.0]), [1.0, 0.0])
+        assert np.array_equal(ball.project([0.0, -1e308]), [0.0, -1.0])
+    problem = load_problem({"family": "single_set_vi", "n": 2, "operator": "identity",
+                            "set": {"type": "ball", "center": [1.0, 0.0], "radius": 2.0}})
+    assert np.array_equal(project(problem, [0.0, 0.0], [1e155, 0.0]), [3.0, 0.0])
+
+
 def test_box_validation():
     with pytest.raises(ValidationError):
         BoxSet(np.array([1.0]), np.array([0.0]))
