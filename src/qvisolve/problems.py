@@ -111,61 +111,23 @@ class AffineMap:
 # moving sets
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MovingSetSpec:
-    """Moving constraint family K(x) = shift(x) + K for a fixed closed convex K.
+def moving_set(shift: Callable[[Array], Array], shift_lipschitz: float,
+               base_projection: Callable[[Array], Array]) -> ConstraintSpec:
+    """Moving constraint K(x) = shift(x) + K for a fixed closed convex K, projected
+    through the translation identity P_{shift(x)+K}(z) = shift(x) + P_K(z - shift(x)).
 
     shift_lipschitz is the declared Lipschitz constant of the shift map; the
-    resulting parametric projection constant is 2 * shift_lipschitz.
+    parametric projection constant is lip_l = 2 * shift_lipschitz. The
+    projection checks the shapes of both oracles' outputs, because a scalar
+    from either would broadcast into a result of the right shape.
     """
+    require_nonnegative(shift_lipschitz, "shift_lipschitz")
 
-    shift: Callable[[Array], Array]
-    shift_lipschitz: float
-    base_projection: Callable[[Array], Array]
+    def project(x, z):
+        m = oracle_result(shift(x), len(x), "shift oracle")
+        return m + oracle_result(base_projection(z - m), len(x), "base projection")
 
-    def __post_init__(self):
-        require_nonnegative(self.shift_lipschitz, "shift_lipschitz")
-
-
-def moving_set_project(spec: MovingSetSpec, x, z) -> Array:
-    """P_{shift(x)+K}(z) = shift(x) + P_K(z - shift(x)) (translation identity).
-
-    The caller checks the result; shapes are checked here, because a scalar
-    from either oracle would broadcast into a result of the right shape."""
-    m = oracle_result(spec.shift(x), len(x), "shift oracle")
-    return m + oracle_result(spec.base_projection(z - m), len(x), "base projection")
-
-
-def make_moving_set_problem(
-    n: int,
-    operator: OperatorSpec,
-    spec: MovingSetSpec,
-    known_solution=None,
-    name: str = "moving_set",
-) -> QviProblem:
-    """QVI over K(x) = shift(x) + K with lip_l = 2 * shift_lipschitz."""
-    constraint = ConstraintSpec(
-        project=lambda x, z: moving_set_project(spec, x, z),
-        lip_l=2.0 * spec.shift_lipschitz,
-    )
-    return QviProblem(operator=operator, constraint=constraint, dim=n,
-                      known_solution=known_solution, name=name)
-
-
-def make_single_set_problem(
-    n: int,
-    operator: OperatorSpec,
-    base_projection: Callable[[Array], Array],
-    known_solution=None,
-    name: str = "vi",
-) -> QviProblem:
-    """Plain VI: the constraint set ignores x, so lip_l = 0."""
-    constraint = ConstraintSpec(
-        project=lambda x, z: base_projection(z),
-        lip_l=0.0,
-    )
-    return QviProblem(operator=operator, constraint=constraint, dim=n,
-                      known_solution=known_solution, name=name)
+    return ConstraintSpec(project, 2.0 * shift_lipschitz)
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +219,11 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     x_target = (0.5 / (1.0 + beta)) * g / np.linalg.norm(g)
     b = -a @ x_target
 
-    spec = MovingSetSpec(
-        shift=shift,
-        shift_lipschitz=beta,
-        base_projection=BallSet(np.zeros(n), 1.0).project,
-    )
-    operator = OperatorSpec(AffineMap(a, b), lipschitz_L=L_target, strong_rho=rho_target)
-    return make_moving_set_problem(
-        n, operator, spec, known_solution=x_target,
+    return QviProblem(
+        operator=OperatorSpec(AffineMap(a, b), lipschitz_L=L_target, strong_rho=rho_target),
+        constraint=moving_set(shift, beta, BallSet(np.zeros(n), 1.0).project),
+        dim=n,
+        known_solution=x_target,
         name=f"affine_qvi(n={n}, seed={seed}, beta={beta})",
     )
 
@@ -296,8 +255,21 @@ def default_problem_suite() -> list[QviProblem]:
 #: declared L >= (1 - slack) * ||A|| and rho <= lambda_min(sym A) + slack * ||A||
 CONSTANT_SLACK = 1e-9
 #: the most entries a descriptor's arrays may have: n for an l2_example
-#: vector, n*n for a matrix of the other families (800 MB of float64)
+#: vector, n*n for a matrix of the other families (800 MB of float64). The
+#: moving_set and single_set_vi families need no matrix unless an
+#: operator.matrix is given, but the n*n cap holds for them unchanged:
+#: relaxing it would admit inputs that are rejected today
 MAX_DESCRIPTOR_ENTRIES = 100_000_000
+#: the fields a descriptor of each family takes; any other is rejected
+_FAMILY_FIELDS = {
+    "l2_example": ("family", "n", "alpha"),
+    "affine": ("family", "n", "seed", "rho", "L", "beta"),
+    "moving_set": ("family", "n", "base_set", "shift_scale", "shift_offset", "operator",
+                   "known_solution"),
+    "single_set_vi": ("family", "n", "set", "operator", "known_solution"),
+}
+_SET_FIELDS = {"box": ("type", "lo", "hi"), "ball": ("type", "center", "radius")}
+_OPERATOR_FIELDS = ("matrix", "offset", "L", "rho")
 
 
 def _get(d: dict, key: str, default):
@@ -312,36 +284,61 @@ def _number(d: dict, key: str, default, where: str = "") -> float:
     return require_real(_get(d, key, default), where + key)
 
 
+def _check_fields(d: dict, fields, where: str) -> None:
+    """A key of d that is not in fields is a ValidationError naming its path."""
+    for key in d:
+        if key not in fields:
+            raise ValidationError(f"{where}{key}: unknown field, expected one of "
+                                  f"{', '.join(fields)}")
+
+
 def _set_from_descriptor(n: int, doc: dict, key: str):
-    d = doc.get(key) or {}
+    d = _get(doc, key, {})
     if not isinstance(d, dict):
         raise ValidationError(f"{key} must be an object, got {d!r}")
     where = key + "."
     kind = d.get("type")
+    if not (isinstance(kind, str) and kind in _SET_FIELDS):
+        raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
+    _check_fields(d, _SET_FIELDS[kind], where)
     if kind == "box":
         return BoxSet(as_array(_get(d, "lo", -np.inf), where + "lo", n, fill=True, allow_inf=True),
                       as_array(_get(d, "hi", np.inf), where + "hi", n, fill=True, allow_inf=True))
-    if kind == "ball":
-        center = as_array(_get(d, "center", 0.0), where + "center", n, fill=True)
-        return BallSet(center, _number(d, "radius", 1.0, where=where))
-    raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
+    center = as_array(_get(d, "center", 0.0), where + "center", n, fill=True)
+    return BallSet(center, _number(d, "radius", 1.0, where=where))
+
+
+def _scaled(scale: float, offset: Array) -> Callable[[Array], Array]:
+    """x -> scale * x + offset, elementwise: (scale*I) @ x + offset without the
+    n x n matrix. The offset is a read-only copy with each -0.0 made +0.0, so
+    that a zero sum comes out +0.0, as the matrix product gives it."""
+    offset = offset + 0.0
+    offset.setflags(write=False)
+    return lambda x: scale * x + offset
 
 
 def _operator_from_descriptor(n: int, d) -> OperatorSpec:
     if d is None or d == "identity":
-        return OperatorSpec(AffineMap(np.eye(n), np.zeros(n)), 1.0, 1.0)
-    if not isinstance(d, dict):
+        d = {}
+    elif not isinstance(d, dict):
         raise ValidationError(f"operator must be 'identity' or an object, got {d!r}")
     where = "operator."
-    matrix = as_array(_get(d, "matrix", np.eye(n)), where + "matrix", n, square=True)
+    _check_fields(d, _OPERATOR_FIELDS, where)
+    matrix = d.get("matrix")
+    if matrix is not None:
+        matrix = as_array(matrix, where + "matrix", n, square=True)
     offset = as_array(_get(d, "offset", np.zeros(n)), where + "offset", n)
-    sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    with np.errstate(over="ignore"):
-        sym = 0.5 * (matrix + matrix.T)
-    if not (math.isfinite(sigma) and np.isfinite(sym).all()):
-        raise ValidationError("operator.matrix is too large: its norm or its symmetric part "
-                              "overflows the float range")
-    eig_min = float(np.linalg.eigvalsh(sym)[0])
+    if matrix is None:  # the identity, whose norm and smallest eigenvalue are exactly 1
+        func, sigma, eig_min = _scaled(1.0, offset), 1.0, 1.0
+    else:
+        func = AffineMap(matrix, offset)
+        sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (matrix + matrix.T)
+        if not (math.isfinite(sigma) and np.isfinite(sym).all()):
+            raise ValidationError("operator.matrix is too large: its norm or its symmetric part "
+                                  "overflows the float range")
+        eig_min = float(np.linalg.eigvalsh(sym)[0])
     L = _number(d, "L", sigma, where=where)
     rho = _number(d, "rho", eig_min, where=where)
     if L < (1.0 - CONSTANT_SLACK) * sigma:
@@ -354,7 +351,7 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
             f"operator.rho must be positive, got {rho!r}" if d.get("rho") is not None
             else f"operator is not strongly monotone (min symmetric eigenvalue {rho:g})"
         )
-    return OperatorSpec(AffineMap(matrix, offset), lipschitz_L=L, strong_rho=rho)
+    return OperatorSpec(func, lipschitz_L=L, strong_rho=rho)
 
 
 def read_json_object(source: Union[str, Path], name: str) -> dict:
@@ -388,8 +385,9 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     """Build a QviProblem from a JSON descriptor (dict, JSON text, or a path).
 
     Schema: {"family": "l2_example" | "affine" | "moving_set" | "single_set_vi",
-    plus family parameters}; see the README for the exact fields. Text that
-    starts with '{' is parsed as inline JSON, anything else as a path.
+    plus family parameters}; see the README for the exact fields. A key that
+    its object does not take is rejected. Text that starts with '{' is parsed
+    as inline JSON, anything else as a path.
     """
     doc = read_json_object(source, "problem") if isinstance(source, (str, Path)) else dict(source)
     family = doc.get("family")
@@ -399,6 +397,10 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     if entries > MAX_DESCRIPTOR_ENTRIES:
         raise ValidationError(f"n = {n} gives arrays of {entries} entries, above the limit "
                               f"of {MAX_DESCRIPTOR_ENTRIES}")
+    if not (isinstance(family, str) and family in _FAMILY_FIELDS):
+        raise ValidationError(f"family must be one of {'/'.join(_FAMILY_FIELDS)}, "
+                              f"got {family!r}")
+    _check_fields(doc, _FAMILY_FIELDS[family], "")
 
     if family == "l2_example":
         return make_l2_example(n, _number(doc, "alpha", 2.0))
@@ -415,22 +417,12 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     if family == "moving_set":
         base = _set_from_descriptor(n, doc, "base_set")
         scale = _number(doc, "shift_scale", 0.0)
-        spec = MovingSetSpec(
-            shift=AffineMap(scale * np.eye(n),
-                            as_array(_get(doc, "shift_offset", 0.0), "shift_offset", n, fill=True)),
-            shift_lipschitz=abs(scale),
-            base_projection=base.project,
-        )
-        op = _operator_from_descriptor(n, doc.get("operator"))
-        return make_moving_set_problem(n, op, spec, known_solution=doc.get("known_solution"),
-                                       name=f"moving_set(n={n}, scale={scale})")
-
-    if family == "single_set_vi":
+        offset = as_array(_get(doc, "shift_offset", 0.0), "shift_offset", n, fill=True)
+        constraint = moving_set(_scaled(scale, offset), abs(scale), base.project)
+        name = f"moving_set(n={n}, scale={scale})"
+    else:
         base = _set_from_descriptor(n, doc, "set")
-        op = _operator_from_descriptor(n, doc.get("operator"))
-        return make_single_set_problem(n, op, base.project, name=f"single_set_vi(n={n})",
-                                       known_solution=doc.get("known_solution"))
-
-    raise ValidationError(
-        f"family must be one of l2_example/affine/moving_set/single_set_vi, got {family!r}"
-    )
+        constraint = ConstraintSpec(lambda x, z: base.project(z), 0.0)
+        name = f"single_set_vi(n={n})"
+    return QviProblem(_operator_from_descriptor(n, doc.get("operator")), constraint, n,
+                      known_solution=doc.get("known_solution"), name=name)

@@ -19,10 +19,9 @@ from qvisolve.dynamics import FlowConfig
 from qvisolve.problems import (
     BallSet,
     BoxSet,
-    MovingSetSpec,
     make_affine_qvi,
     make_l2_example,
-    moving_set_project,
+    moving_set,
 )
 from oracles import certificate_oracle, rel_err
 
@@ -196,9 +195,9 @@ def test_criterion_5_moving_set_identity():
             (ball, lambda z, m=m: z if np.linalg.norm(z - m) <= 1.0
              else m + (z - m) / np.linalg.norm(z - m)),
         ):
-            spec = MovingSetSpec(shift=lambda _x, m=m: m, shift_lipschitz=0.0,
-                                 base_projection=base.project)
-            gap = float(np.max(np.abs(moving_set_project(spec, x, z) - direct(z))))
+            constraint = moving_set(shift=lambda _x, m=m: m, shift_lipschitz=0.0,
+                                    base_projection=base.project)
+            gap = float(np.max(np.abs(constraint.project(x, z) - direct(z))))
             worst = max(worst, gap)
 
     # parametric constant of a genuinely moving set stays below 2*beta
@@ -207,14 +206,13 @@ def test_criterion_5_moving_set_identity():
     c = c / np.linalg.svd(c, compute_uv=False)[0]
     worst_ratio = 0.0
     for base in (box, ball):
-        spec = MovingSetSpec(shift=lambda v: beta * (c @ v), shift_lipschitz=beta,
-                             base_projection=base.project)
+        constraint = moving_set(shift=lambda v: beta * (c @ v), shift_lipschitz=beta,
+                                base_projection=base.project)
         for _ in range(1000):
             x = rng.normal(size=n) * 2.0
             y = rng.normal(size=n) * 2.0
             z = rng.normal(size=n) * 3.0
-            gap = np.linalg.norm(moving_set_project(spec, x, z)
-                                 - moving_set_project(spec, y, z))
+            gap = np.linalg.norm(constraint.project(x, z) - constraint.project(y, z))
             denom = np.linalg.norm(x - y)
             if denom > 1e-12:
                 worst_ratio = max(worst_ratio, gap / denom)

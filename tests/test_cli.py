@@ -236,11 +236,14 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
     ({"family": "single_set_vi", "n": 2, "set": 5}, "set must be an object"),
     ({"family": "single_set_vi", "n": 2, "set": {"type": "disk"}}, "set.type"),
     ({**BOX2, "operator": "ident"}, "operator must be"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "box", "low": 0.5}},
+     "base_set.low: unknown field"),
+    ({"family": "single_set_vi", "n": 2, "set": []}, "set must be an object, got []"),
 ], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix",
         "overflowing-matrix", "nan-offset", "inf-shift-offset", "negative-seed", "skew-rho",
         "identity-L", "negative-rho", "nan-ball-center", "nan-base-ball-center", "float-n",
         "inf-alpha", "float-seed", "string-box-bound", "set-not-object", "unknown-set-type",
-        "unknown-operator"])
+        "unknown-operator", "unknown-field", "set-empty-list"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])

@@ -24,9 +24,8 @@ from qvisolve import (
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
 from qvisolve.dynamics import AlphaSchedule, FlowConfig
-from qvisolve.problems import (AffineMap, BallSet, BoxSet, MovingSetSpec, load_problem,
-                               make_affine_qvi, make_l2_example, make_moving_box_problem,
-                               make_single_set_problem, moving_set_project)
+from qvisolve.problems import (AffineMap, BallSet, BoxSet, load_problem, make_affine_qvi,
+                               make_l2_example, make_moving_box_problem, moving_set)
 from qvisolve.solvers import SolverConfig
 
 from oracles import assert_finite_arguments, poisoned_problem
@@ -68,7 +67,7 @@ BAD_SCALARS = {
     "ConstraintSpec-bool": (lambda: ConstraintSpec(_identity, True), "lip_l"),
     "BallSet-str": (lambda: BallSet(np.zeros(2), "1"), "ball radius"),
     "BallSet-bool": (lambda: BallSet(np.zeros(2), True), "ball radius"),
-    "MovingSetSpec-str": (lambda: MovingSetSpec(_identity, "0.1", _identity), "shift_lipschitz"),
+    "moving_set-str": (lambda: moving_set(_identity, "0.1", _identity), "shift_lipschitz"),
     "ProblemConstants-str": (lambda: ProblemConstants(L="3", rho=1.0, l=0.0, lam=0.1), "L"),
     "ProblemConstants-bool-beta": (
         lambda: ProblemConstants(L=3.0, rho=1.0, l=0.0, lam=0.1, beta=False), "beta"),
@@ -278,12 +277,12 @@ def test_oracle_outputs_must_be_real(case):
                             ConstraintSpec(lambda x, z: make(z), 0.0), dim=2)
     with pytest.raises(ValidationError, match=f"^projection oracle: {message}"):
         project(projection, [1.0, 2.0], [1.0, 2.0])
-    single_set = make_single_set_problem(2, OperatorSpec(_identity, 1.0, 1.0), make)
+    single_set = QviProblem(OperatorSpec(_identity, 1.0, 1.0),
+                            ConstraintSpec(lambda x, z: make(z), 0.0), 2)
     with pytest.raises(ValidationError, match=f"^projection oracle: {message}"):
         project(single_set, [1.0, 2.0], [1.0, 2.0])
-    spec = MovingSetSpec(make, 0.0, _identity)
     with pytest.raises(ValidationError, match=f"^shift oracle: {message}"):
-        moving_set_project(spec, np.ones(2), np.ones(2))
+        moving_set(make, 0.0, _identity).project(np.ones(2), np.ones(2))
 
 
 # public one-shot entry point -> (call, operator calls, projection calls)

@@ -357,9 +357,10 @@ def test_flow_csv_round_trip(halfline, tmp_path):
 
 
 def test_flow_csv_without_solution(tmp_path):
-    from qvisolve.problems import AffineMap, BoxSet, OperatorSpec, make_single_set_problem
+    from qvisolve.problems import AffineMap, BoxSet
     op = OperatorSpec(AffineMap(np.eye(2), np.zeros(2)), 1.0, 1.0)
-    problem = make_single_set_problem(2, op, BoxSet.from_bounds(2, -1.0, 1.0).project)
+    box = BoxSet.from_bounds(2, -1.0, 1.0)
+    problem = QviProblem(op, ConstraintSpec(lambda x, z: box.project(z), 0.0), 2)
     trace = integrate(problem, [0.5, 0.5], FlowConfig(lam=0.1, h=0.5, t_end=1.0))
     buf = io.StringIO()
     flow_to_csv(trace, buf)

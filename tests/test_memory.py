@@ -1,6 +1,7 @@
 """Traces hold a bounded number of n-vectors: `solve` keeps only its final
 iterate and `integrate` only its endpoint unless asked for every state. The
-affine builder drops each n x n temporary once it has used it.
+affine builder drops each n x n temporary once it has used it, and a
+descriptor problem without a matrix builds none.
 
 The bound is on memory allocated during the call (tracemalloc, which numpy
 reports its buffers to), so it holds whatever the machine's speed. Keeping
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from qvisolve import FlowConfig, SolverConfig, integrate, make_l2_example, solve
-from qvisolve.problems import make_affine_qvi
+from qvisolve.problems import load_problem, make_affine_qvi
 from qvisolve.solvers import VARIANTS
 
 N = 100_000
@@ -63,3 +64,28 @@ def test_affine_build_memory_is_bounded():
     peak, _ = peak_bytes(lambda: make_affine_qvi(n, seed=7, rho_target=1.0, L_target=3.0,
                                                  beta=0.1))
     assert peak < 5 * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 floats"
+
+
+
+# descriptors with no matrix, whose oracles are elementwise, by dimension n
+MATRIX_FREE = {
+    "moving_set": lambda n: {"family": "moving_set", "n": n, "shift_scale": 0.1,
+                             "base_set": {"type": "box", "lo": -1.0, "hi": 1.0}},
+    "single_set_vi-identity": lambda n: {"family": "single_set_vi", "n": n,
+                                         "operator": "identity",
+                                         "set": {"type": "ball", "radius": 2.0}},
+    "offset-only-operator": lambda n: {"family": "single_set_vi", "n": n,
+                                       "operator": {"offset": np.linspace(-1.0, 1.0, n).tolist()},
+                                       "set": {"type": "box", "lo": 0.0}},
+}
+
+
+@pytest.mark.parametrize("case", list(MATRIX_FREE))
+def test_matrix_free_descriptor_load_memory_is_linear(case):
+    # an n x n identity standing in for x -> scale*x + offset takes 1 n^2 floats
+    n = 1000
+    load_problem(MATRIX_FREE[case](2))  # lazy imports
+    doc = MATRIX_FREE[case](n)
+    peak, problem = peak_bytes(lambda: load_problem(doc))
+    assert problem.dim == n
+    assert peak < 0.1 * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 floats"

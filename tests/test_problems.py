@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qvisolve import (
+    QviProblem,
     SolverConfig,
     ValidationError,
     evaluate_operator,
@@ -23,14 +26,12 @@ from qvisolve.problems import (
     AffineMap,
     BallSet,
     BoxSet,
-    MovingSetSpec,
     OperatorSpec,
     load_problem,
     make_affine_qvi,
     make_l2_example,
     make_moving_box_problem,
-    make_moving_set_problem,
-    moving_set_project,
+    moving_set,
 )
 
 coord = st.floats(min_value=-50.0, max_value=50.0)
@@ -133,37 +134,36 @@ def test_affine_map_validation():
 
 def test_moving_set_projection_hand_value():
     # 1-D: K = [-1, 1], shift == 2, z = 4 -> 2 + P_K(2) = 3
-    spec = MovingSetSpec(
+    constraint = moving_set(
         shift=lambda x: np.array([2.0]),
         shift_lipschitz=0.0,
         base_projection=BoxSet.from_bounds(1, -1.0, 1.0).project,
     )
-    assert moving_set_project(spec, np.array([0.3]), np.array([4.0]))[0] == 3.0
+    assert constraint.project(np.array([0.3]), np.array([4.0]))[0] == 3.0
 
 
 def test_moving_set_member_point_fixed():
-    spec = MovingSetSpec(
+    constraint = moving_set(
         shift=AffineMap(0.5 * np.eye(2), np.zeros(2)),
         shift_lipschitz=0.5,
         base_projection=BoxSet.from_bounds(2, -1.0, 1.0).project,
     )
     x = np.array([0.2, -0.4])
     z = x * 0.5 + np.array([0.3, 0.3])  # inside shift(x) + K
-    assert np.allclose(moving_set_project(spec, x, z), z, atol=1e-15)
+    assert np.allclose(constraint.project(x, z), z, atol=1e-15)
 
 
 def test_moving_set_zero_shift_reduces_to_base():
     base = BallSet(np.zeros(2), 1.0)
-    spec = MovingSetSpec(shift=lambda x: np.zeros(2), shift_lipschitz=0.0,
-                         base_projection=base.project)
+    constraint = moving_set(shift=lambda x: np.zeros(2), shift_lipschitz=0.0,
+                            base_projection=base.project)
     z = np.array([3.0, 4.0])
-    assert np.allclose(moving_set_project(spec, np.zeros(2), z), base.project(z),
-                       atol=1e-15)
+    assert np.allclose(constraint.project(np.zeros(2), z), base.project(z), atol=1e-15)
 
 
 def test_moving_set_rejects_negative_shift_constant():
     with pytest.raises(ValidationError, match="^shift_lipschitz must be nonnegative"):
-        MovingSetSpec(shift=lambda x: x, shift_lipschitz=-0.1, base_projection=lambda z: z)
+        moving_set(shift=lambda x: x, shift_lipschitz=-0.1, base_projection=lambda z: z)
 
 
 def test_moving_set_rejects_scalar_oracle_output():
@@ -171,32 +171,32 @@ def test_moving_set_rejects_scalar_oracle_output():
     box = BoxSet.from_bounds(2, -1.0, 1.0).project
     for shift, base in ((lambda x: 0.5, box), (lambda x: np.zeros(3), box),
                         (lambda x: np.zeros(2), lambda z: 0.5)):
-        spec = MovingSetSpec(shift=shift, shift_lipschitz=0.0, base_projection=base)
+        constraint = moving_set(shift=shift, shift_lipschitz=0.0, base_projection=base)
         with pytest.raises(ValidationError, match="shape"):
-            moving_set_project(spec, np.zeros(2), np.ones(2))
+            constraint.project(np.zeros(2), np.ones(2))
 
 
 @given(vec3, vec3, vec3)
 def test_translation_identity_box(x, z, m):
     # shift + P_K(z - shift) equals the direct projection onto the shifted box
-    spec = MovingSetSpec(
+    constraint = moving_set(
         shift=lambda _x, m=m: m,
         shift_lipschitz=0.0,
         base_projection=BoxSet.from_bounds(3, -1.0, 1.0).project,
     )
-    via_identity = moving_set_project(spec, x, z)
+    via_identity = constraint.project(x, z)
     direct = np.clip(z, -1.0 + m, 1.0 + m)
     assert np.allclose(via_identity, direct, atol=1e-12)
 
 
 @given(vec3, vec3, vec3)
 def test_translation_identity_ball(x, z, m):
-    spec = MovingSetSpec(
+    constraint = moving_set(
         shift=lambda _x, m=m: m,
         shift_lipschitz=0.0,
         base_projection=BallSet(np.zeros(3), 1.0).project,
     )
-    via_identity = moving_set_project(spec, x, z)
+    via_identity = constraint.project(x, z)
     w = z - m
     nw = np.linalg.norm(w)
     direct = z if nw <= 1.0 else m + w / nw
@@ -205,9 +205,9 @@ def test_translation_identity_ball(x, z, m):
 
 def test_constant_shift_gives_plain_vi():
     op = OperatorSpec(AffineMap(np.eye(2), np.zeros(2)), 1.0, 1.0)
-    spec = MovingSetSpec(shift=lambda x: np.array([1.0, 1.0]), shift_lipschitz=0.0,
-                         base_projection=BoxSet.from_bounds(2, -1.0, 1.0).project)
-    p = make_moving_set_problem(2, op, spec)
+    constraint = moving_set(shift=lambda x: np.array([1.0, 1.0]), shift_lipschitz=0.0,
+                            base_projection=BoxSet.from_bounds(2, -1.0, 1.0).project)
+    p = QviProblem(op, constraint, 2)
     assert p.constraint.lip_l == 0.0
     assert p.known_solution is None
 
@@ -296,7 +296,7 @@ from qvisolve.problems import make_affine_qvi
 digests = []
 for case in json.loads(sys.argv[1]):
     p = make_affine_qvi(*case)
-    shift = inspect.getclosurevars(p.constraint.project).nonlocals["spec"].shift
+    shift = inspect.getclosurevars(p.constraint.project).nonlocals["shift"]
     h = hashlib.sha256()
     for a in (p.operator.func.matrix, p.operator.func.offset, shift.matrix, p.known_solution):
         h.update(a.tobytes())
@@ -489,6 +489,49 @@ def test_load_descriptor_errors(tmp_path):
                       "operator": {"matrix": [[0.0, -1.0], [1.0, 0.0]]}})  # not monotone
 
 
+BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
+# a key that its object does not take, at each level -> the path its error
+# names; each was once ignored ("shfit_scale" gave a fixed set, lip_l = 0,
+# and "low" an unbounded box)
+UNKNOWN_FIELDS = {
+    "l2_example": ({"family": "l2_example", "n": 2, "alpa": 3.0}, "alpa"),
+    "affine": ({"family": "affine", "n": 2, "known_solution": [0.0, 0.0]}, "known_solution"),
+    "moving_set": ({"family": "moving_set", "n": 2, "base_set": {"type": "box"},
+                    "shfit_scale": 0.1}, "shfit_scale"),
+    "single_set_vi": ({**BOX2, "shift_scale": 0.1}, "shift_scale"),
+    "box": ({"family": "moving_set", "n": 2, "base_set": {"type": "box", "low": 0.5}},
+            "base_set.low"),
+    "ball": ({**BOX2, "set": {"type": "ball", "radius": 2.0, "hi": 1.0}}, "set.hi"),
+    "operator": ({**BOX2, "operator": {"matrix": [[2.0, 0.0], [0.0, 2.0]], "Lipschitz": 2.0}},
+                 "operator.Lipschitz"),
+    "operator-offset-only": ({**BOX2, "operator": {"offset": [0.0, 0.0], "rh0": 0.5}},
+                             "operator.rh0"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN_FIELDS))
+def test_descriptor_rejects_unknown_fields(case):
+    descriptor, path = UNKNOWN_FIELDS[case]
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: unknown field, expected "):
+        load_problem(descriptor)
+
+
+@pytest.mark.parametrize("value,message", [
+    (None, "set.type must be 'box' or 'ball', got None"),
+    ([], "set must be an object, got []"),
+    (0, "set must be an object, got 0"),
+    ("", "set must be an object, got ''"),
+    (False, "set must be an object, got False"),
+])
+def test_descriptor_set_must_be_an_object(value, message):
+    # only an absent or null set counts as missing
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_problem({**BOX2, "set": value})
+    if value is None:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_problem({"family": "single_set_vi", "n": 2})
+
+
 @pytest.mark.parametrize("descriptor,admitted", [
     ({"family": "l2_example", "n": 8}, True),  # n-vectors
     ({"family": "l2_example", "n": 9}, False),
@@ -502,9 +545,54 @@ def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
     if admitted:
         assert load_problem(descriptor).dim == descriptor["n"]
         return
-    for builder in ("make_l2_example", "make_affine_qvi", "make_moving_set_problem",
-                    "make_single_set_problem", "AffineMap"):
+    for builder in ("make_l2_example", "make_affine_qvi", "moving_set", "_scaled", "AffineMap",
+                    "QviProblem"):
         monkeypatch.setattr(problems, builder, None)  # rejected before anything is built
     n = descriptor["n"]
     with pytest.raises(ValidationError, match=f"^n = {n} gives arrays of .* the limit of 8$"):
         load_problem(descriptor)
+
+
+# Descriptor problems whose oracles are elementwise: the moving_set shift
+# shift_scale*x + shift_offset, and the identity operator (absent,
+# "identity", or an object without a matrix, with or without an offset).
+# EDGE_DIGEST is the sha256 over each descriptor's declared L, rho and l and
+# over the operator and projection output bytes at seeded points holding
+# +-0.0, +-1e-300 and +-1e150, recorded while both maps were n x n matrix
+# products, (scale*I) @ x + offset, so it pins every zero sign and overflow.
+_EDGE_OPERATORS = [None, "identity", {"L": 2.0}, {"offset": [-0.0, 0.5, -0.0]},
+                   {"offset": [0.25, -0.0, -1.0], "rho": 0.5}]
+_EDGE_SETS = [{"type": "box", "lo": [-1.0, -0.0, 0.0], "hi": [1.0, 0.0, np.inf]},
+              {"type": "ball", "center": [0.0, -0.0, 0.5], "radius": 1.5}]
+EDGE_DESCRIPTORS = [
+    {"family": "moving_set", "n": 3, "base_set": base, "shift_scale": scale,
+     **({} if offset is None else {"shift_offset": offset}),
+     **({} if operator is None else {"operator": operator})}
+    for scale in (0.1, -0.1, 0.0, -0.0, -2.5, 1e300)
+    for offset in (None, -0.0, [-0.0, 0.5, -1e-300])
+    for operator in _EDGE_OPERATORS
+    for base in _EDGE_SETS
+] + [
+    {"family": "single_set_vi", "n": 3, "set": base,
+     **({} if operator is None else {"operator": operator})}
+    for operator in _EDGE_OPERATORS
+    for base in _EDGE_SETS
+]
+EDGE_DIGEST = "1ee02098fb1f58ddb15b88cf2f84de9ac14c2b33471e40be3746fbbce3c03bac"
+
+
+def test_elementwise_descriptor_oracles_keep_their_bytes():
+    specials = np.array([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150])
+    rng = np.random.default_rng(29)
+    points = np.where(rng.random((16, 2, 3)) < 0.5, rng.choice(specials, (16, 2, 3)),
+                      rng.standard_normal((16, 2, 3)))
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):  # 1e300 * 1e150 overflows; a ball then gives NaN
+        for descriptor in EDGE_DESCRIPTORS:
+            p = load_problem(descriptor)
+            h.update(np.array([p.operator.lipschitz_L, p.operator.strong_rho,
+                               p.constraint.lip_l]).tobytes())
+            for x, z in points:
+                h.update(p.operator.func(x).tobytes())
+                h.update(p.constraint.project(x, z).tobytes())
+    assert h.hexdigest() == EDGE_DIGEST

@@ -21,9 +21,7 @@ from qvisolve.problems import (
     AffineMap,
     BallSet,
     BoxSet,
-    MovingSetSpec,
-    make_moving_set_problem,
-    make_single_set_problem,
+    moving_set,
 )
 from qvisolve.csvio import read_trace_csv, trace_to_csv
 
@@ -136,8 +134,8 @@ def test_scheme_equivalence_single_set(halfline):
     ball = BallSet(np.zeros(3), 1.0)
     amap = AffineMap(np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]]),
                      np.array([0.1, -0.2, 0.3]))
-    problem = make_single_set_problem(
-        3, OperatorSpec(amap, lipschitz_L=2.5, strong_rho=1.0), ball.project)
+    problem = QviProblem(OperatorSpec(amap, lipschitz_L=2.5, strong_rho=1.0),
+                         ConstraintSpec(lambda x, z: ball.project(z), 0.0), 3)
     for _ in range(100):
         x = rng.normal(size=3) * 2.0
         _, mine = tseng_step(problem, x, 0.2)
@@ -335,12 +333,12 @@ def test_solve_projection_argument_overflow():
 def test_empirical_rate_uses_residuals_without_solution():
     # same moving-box dynamics but with the known solution withheld
     op = OperatorSpec(AffineMap(np.eye(2), np.zeros(2)), 1.0, 1.0)
-    spec = MovingSetSpec(
+    constraint = moving_set(
         shift=AffineMap(0.1 * np.eye(2), np.zeros(2)),
         shift_lipschitz=0.1,
         base_projection=BoxSet.from_bounds(2, -1.0, 1.0).project,
     )
-    problem = make_moving_set_problem(2, op, spec)
+    problem = QviProblem(op, constraint, 2)
     trace = solve(problem, [0.9, -0.7], SolverConfig(lam=0.1, max_iter=400, tol=1e-10))
     assert trace.status == "converged"
     assert all(r.dist_to_solution is None for r in trace.records)
@@ -384,7 +382,8 @@ def test_trace_csv_round_trip(l2_problem, geometric_x0, tmp_path):
 
 def test_trace_csv_blank_dist_column(tmp_path):
     op = OperatorSpec(AffineMap(np.eye(1), np.zeros(1)), 1.0, 1.0)
-    problem = make_single_set_problem(1, op, BoxSet.from_bounds(1, 0.0, None).project)
+    box = BoxSet.from_bounds(1, 0.0, None)
+    problem = QviProblem(op, ConstraintSpec(lambda x, z: box.project(z), 0.0), 1)
     trace = solve(problem, [2.0], SolverConfig(lam=0.1, max_iter=5, tol=1e-14))
     buf = io.StringIO()
     trace_to_csv(trace, buf)
