@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -216,13 +217,24 @@ class ConstraintSpec:
 
     lip_l is the declared constant of the parametric Lipschitz bound
     ||P_{K(x)}(z) - P_{K(y)}(z)|| <= lip_l * ||x - y||.
+
+    at(x) returns the projector z -> P_{K(x)}(z) onto the set at one point;
+    the step kernel takes it once per iterate and makes every projection at
+    that point through it. Give one when building K(x) costs work that each
+    projection at x would repeat, as `problems.moving_set` does with its
+    shift; by default it is project with x fixed. at(x)(z) must give the
+    bits project(x, z) gives, and keep no state between calls.
     """
 
     project: Callable[[Array, Array], Array]
     lip_l: float
+    at: Optional[Callable[[Array], Callable[[Array], Array]]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         require_nonnegative(self.lip_l, "lip_l")
+        if self.at is None:  # x -> (z -> project(x, z))
+            object.__setattr__(self, "at", partial(partial, self.project))
 
 
 @dataclass(frozen=True)
@@ -258,7 +270,8 @@ def project(problem: QviProblem, x, z) -> Array:
     """P_{K(x)}(z) via the problem's projection oracle."""
     x = as_vector(x, problem.dim, name="x")
     z = as_vector(z, problem.dim, name="z")
-    return require_finite(_project(problem, x, z), "projection oracle output")
+    return require_finite(_project(problem, problem.constraint.at(x), z),
+                          "projection oracle output")
 
 
 @ignore_overflow
@@ -266,7 +279,7 @@ def natural_residual(problem: QviProblem, x, lam: float) -> float:
     """||x - P_{K(x)}(x - lam*F(x))||; zero exactly at solutions of the QVI."""
     lam = require_positive(lam, "lambda")
     x = as_vector(x, problem.dim)
-    y = forward_backward(problem, x, lam)[1]
+    y = forward_backward(problem, problem.constraint.at(x), x, lam)[1]
     return norm(x - require_finite(y, "projection oracle output"))
 
 
@@ -283,48 +296,54 @@ def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     return require_finite(tseng_field(problem, as_vector(x, problem.dim), lam), "Tseng map")
 
 
-# The step kernel. Callers validate x and lam once, at entry. Every oracle
-# output gets its shape checked here; finiteness is checked only where a value
-# would reach an oracle, through a dot product: the projection argument
-# x - lam*v here, y in tseng_field, and the residual, stage and divergence
-# norms in the solve and flow loops. So no oracle ever receives a non-finite
-# argument, and a non-finite output ends the run at the latest one step on.
+# The step kernel. Callers validate x and lam once, at entry, and take the
+# projector P = problem.constraint.at(x) once per iterate: every projection at
+# x goes through it, so extragradient's second projection reuses what the
+# first one built (a moving set's shift). Every oracle output gets its shape
+# checked here; finiteness is checked only where a value would reach an
+# oracle, through a dot product: the projection argument x - lam*v here, y in
+# tseng_field, and the residual, stage and divergence norms in the solve and
+# flow loops. So no oracle ever receives a non-finite argument, and a
+# non-finite output ends the run at the latest one step on.
 
 def _operator(problem: QviProblem, x: Array) -> Array:
     return oracle_result(problem.operator.func(x), problem.dim, "operator oracle")
 
 
-def _project(problem: QviProblem, x: Array, z: Array) -> Array:
-    return oracle_result(problem.constraint.project(x, z), problem.dim, "projection oracle")
+def _project(problem: QviProblem, P: Callable[[Array], Array], z: Array) -> Array:
+    return oracle_result(P(z), problem.dim, "projection oracle")
 
 
-def _project_step(problem: QviProblem, x: Array, v: Array, lam: float) -> Array:
-    """P_{K(x)}(x - lam*v). The argument is checked: v may be a non-finite
-    oracle output, and x - lam*v can overflow from finite inputs."""
+def _project_step(problem: QviProblem, P: Callable[[Array], Array], x: Array, v: Array,
+                  lam: float) -> Array:
+    """P(x - lam*v), P the projector onto K(x). The argument is checked: v may
+    be a non-finite oracle output, and x - lam*v can overflow from finite inputs."""
     z = require_finite(x - lam * v, "projection argument x - lambda*v")
-    return _project(problem, x, z)
+    return _project(problem, P, z)
 
 
-def forward_backward(problem: QviProblem, x: Array, lam: float):
-    """(F(x), y) with y = P_{K(x)}(x - lam*F(x)): one operator evaluation and
-    one projection. x must be a finite float vector of the problem's dimension;
-    F(x) is checked through the projection argument, y is not checked."""
+def forward_backward(problem: QviProblem, P: Callable[[Array], Array], x: Array, lam: float):
+    """(F(x), y) with y = P(x - lam*F(x)), P = problem.constraint.at(x): one
+    operator evaluation and one projection. x must be a finite float vector
+    of the problem's dimension; F(x) is checked through the projection
+    argument, y is not checked."""
     Fx = _operator(problem, x)
-    return Fx, _project_step(problem, x, Fx, lam)
+    return Fx, _project_step(problem, P, x, Fx, lam)
 
 
-#: variant -> update(problem, x, F(x), y, lam) -> next iterate, given
-#: (F(x), y) from `forward_backward`
+#: variant -> update(problem, P, x, F(x), y, lam) -> next iterate, given the
+#: projector P onto K(x) and (F(x), y) from `forward_backward`
 UPDATES = {
-    "tseng": lambda p, x, Fx, y, lam: y + lam * (Fx - _operator(p, y)),
-    "gradient_projection": lambda p, x, Fx, y, lam: y,
-    "extragradient": lambda p, x, Fx, y, lam: _project_step(p, x, _operator(p, y), lam),
+    "tseng": lambda p, P, x, Fx, y, lam: y + lam * (Fx - _operator(p, y)),
+    "gradient_projection": lambda p, P, x, Fx, y, lam: y,
+    "extragradient": lambda p, P, x, Fx, y, lam: _project_step(p, P, x, _operator(p, y), lam),
 }
 
 
 def tseng_field(problem: QviProblem, x: Array, lam: float) -> Array:
     """`tseng_map` for an already validated x and lam. y is checked before
     F(y) is called; the returned field is not checked."""
-    Fx, y = forward_backward(problem, x, lam)
+    P = problem.constraint.at(x)
+    Fx, y = forward_backward(problem, P, x, lam)
     require_finite(y, "projection oracle output")
-    return UPDATES["tseng"](problem, x, Fx, y, lam) - x
+    return UPDATES["tseng"](problem, P, x, Fx, y, lam) - x

@@ -27,7 +27,6 @@ from .core import (
     ValidationError,
     as_vector,
     ignore_overflow,
-    norm,
     require_finite,
     require_nonnegative,
     require_positive,
@@ -35,12 +34,13 @@ from .core import (
     tseng_field,
 )
 from .csvio import read_flow_csv  # noqa: F401  (bench/workloads.py imports it from here)
-from .solvers import DIVERGENCE_LIMIT, STATUS_NUMERIC_FAILURE
+from .solvers import STATUS_NUMERIC_FAILURE, divergence_limit, diverged
 
 SCHEMES = ("euler", "rk4")
 
-#: the most steps one flow may take: each keeps two Python floats (t and V),
-#: about 64 bytes, so this many keep about 640 MB
+#: the most steps one flow may take: t, V and the envelope are float64 series,
+#: and tracemalloc reads a peak of about 26 B per step (half-line, 1e5 steps),
+#: so this many peak near 260 MB
 MAX_FLOW_STEPS = 10_000_000
 #: the most entries the states of a flow integrated with keep_states may
 #: hold: 800 MB of float64
@@ -145,16 +145,18 @@ class _Lyapunov:
     most EINSUM_BLOCK elements: then each row rounds as a one-row einsum does,
     and as an einsum over every state at once does when n <= EINSUM_BLOCK.
     Above that, einsum sums a row in EINSUM_BLOCK-element buffers whose split
-    depends on the number of rows, and a block is one row."""
+    depends on the number of rows, and a block is one row. V is written into
+    an array of the most rows the trajectory can have."""
 
     EINSUM_BLOCK = 8192
 
-    def __init__(self, xstar: Array):
+    def __init__(self, xstar: Array, rows: int):
         n = xstar.shape[0]
         self.xstar = xstar
         self.diffs = np.empty((max(1, self.EINSUM_BLOCK // n), n))
         self.filled = 0
-        self.V = []  # Python floats: a one-row block costs no array object
+        self.V = np.empty(rows)
+        self.done = 0  # rows of V written
 
     def add(self, x: Array) -> None:
         np.subtract(x, self.xstar, out=self.diffs[self.filled])
@@ -164,12 +166,15 @@ class _Lyapunov:
 
     def _reduce(self) -> None:
         d = self.diffs[:self.filled]
-        self.V.extend((0.5 * np.einsum("ij,ij->i", d, d)).tolist())
+        self.V[self.done:self.done + self.filled] = 0.5 * np.einsum("ij,ij->i", d, d)
+        self.done += self.filled
         self.filled = 0
 
     def values(self) -> Array:
+        """V of every row added; a copy when the trajectory stopped early, so
+        that the unused rows are freed."""
         self._reduce()
-        return np.array(self.V)
+        return self.V if self.done == len(self.V) else self.V[:self.done].copy()
 
 
 @ignore_overflow
@@ -188,6 +193,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     """
     x = as_vector(x0, problem.dim, name="x0").copy()
     h, lam, alpha, nsteps = config.h, config.lam, config.alpha, config.steps
+    limit = divergence_limit(x)
     if keep_states and (nsteps + 1) * problem.dim > MAX_STATE_ENTRIES:
         raise ValidationError(f"t_end/h: {nsteps + 1} states of dimension {problem.dim} exceed "
                               f"the limit of {MAX_STATE_ENTRIES} kept entries")
@@ -203,7 +209,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         return f(t, require_finite(xv, "RK4 stage state"))
 
     states = np.empty((nsteps + 1, problem.dim)) if keep_states else None
-    lyapunov = _Lyapunov(xstar) if xstar is not None else None
+    lyapunov = _Lyapunov(xstar, nsteps + 1) if xstar is not None else None
 
     def record(i, xv):
         if keep_states:
@@ -211,8 +217,8 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         if lyapunov is not None:
             lyapunov.add(xv)
 
-    ts = [0.0]
     record(0, x)
+    done = 0  # steps taken
     status = "completed"
     try:
         for i in range(nsteps):
@@ -225,17 +231,18 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
                 k3 = stage(t + h / 2.0, x + (h / 2.0) * k2)
                 k4 = stage(t + h, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not norm(x_next) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
+            if diverged(x_next, limit):
                 status = STATUS_NUMERIC_FAILURE
                 break
             x = x_next
-            ts.append((i + 1) * h)
-            record(i + 1, x)
+            done = i + 1
+            record(done, x)
     except NumericFailure:
         status = STATUS_NUMERIC_FAILURE
 
-    tarr = np.array(ts)
-    xarr = states[:len(ts)] if keep_states else x[None]
+    # t_i = i*h, one multiply of an exact integer, as the loop's t is
+    tarr = np.arange(done + 1) * h
+    xarr = states[:done + 1] if keep_states else x[None]
     V = envelope = None
     if lyapunov is not None:
         V = lyapunov.values()
@@ -245,8 +252,11 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
             scaled_time = np.array([alpha.integral(tv) for tv in tarr])
         # with a positive exponent the bound can overflow to inf, which is the
         # honest value of the envelope there (NaN where V[0] = 0); the exponent
-        # is 0 where the scaled time is, as Lambda * 0 is NaN for an infinite Lambda
-        exponent = np.where(scaled_time == 0.0, 0.0, Lam * scaled_time)
-        envelope = V[0] * np.exp(exponent)
+        # is 0 where the scaled time is, as Lambda * 0 is NaN for an infinite
+        # Lambda. Formed in place, so that no series beside t, V and this one is held
+        envelope = Lam * scaled_time
+        envelope[scaled_time == 0.0] = 0.0
+        np.exp(envelope, out=envelope)
+        envelope *= V[0]
     return FlowTrace(t=tarr, x=xarr, V=V, envelope=envelope,
                      Lambda=Lam, status=status, keep_states=keep_states)

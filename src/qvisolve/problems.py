@@ -118,16 +118,19 @@ def moving_set(shift: Callable[[Array], Array], shift_lipschitz: float,
 
     shift_lipschitz is the declared Lipschitz constant of the shift map; the
     parametric projection constant is lip_l = 2 * shift_lipschitz. The
-    projection checks the shapes of both oracles' outputs, because a scalar
-    from either would broadcast into a result of the right shape.
+    projector at x evaluates and checks m = shift(x) once and projects any
+    number of points z through it, so the step kernel calls shift once per
+    iterate. Both oracles' output shapes are checked, because a scalar from
+    either would broadcast into a result of the right shape.
     """
     require_nonnegative(shift_lipschitz, "shift_lipschitz")
 
-    def project(x, z):
-        m = oracle_result(shift(x), len(x), "shift oracle")
-        return m + oracle_result(base_projection(z - m), len(x), "base projection")
+    def at(x):
+        n = len(x)
+        m = oracle_result(shift(x), n, "shift oracle")
+        return lambda z: m + oracle_result(base_projection(z - m), n, "base projection")
 
-    return ConstraintSpec(project, 2.0 * shift_lipschitz)
+    return ConstraintSpec(lambda x, z: at(x)(z), 2.0 * shift_lipschitz, at)
 
 
 # --------------------------------------------------------------------------
@@ -329,9 +332,9 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
         matrix = as_array(matrix, where + "matrix", n, square=True)
     offset = as_array(_get(d, "offset", np.zeros(n)), where + "offset", n)
     if matrix is None:  # the identity, whose norm and smallest eigenvalue are exactly 1
-        func, sigma, eig_min = _scaled(1.0, offset), 1.0, 1.0
+        func, sigma, eig_min, what = _scaled(1.0, offset), 1.0, 1.0, "identity"
     else:
-        func = AffineMap(matrix, offset)
+        func, what = AffineMap(matrix, offset), "matrix"
         sigma = float(np.linalg.svd(matrix, compute_uv=False)[0])
         with np.errstate(over="ignore"):
             sym = 0.5 * (matrix + matrix.T)
@@ -342,10 +345,10 @@ def _operator_from_descriptor(n: int, d) -> OperatorSpec:
     L = _number(d, "L", sigma, where=where)
     rho = _number(d, "rho", eig_min, where=where)
     if L < (1.0 - CONSTANT_SLACK) * sigma:
-        raise ValidationError(f"operator.L = {L!r} is below the matrix's norm {sigma!r}")
+        raise ValidationError(f"operator.L = {L!r} is below the {what}'s norm {sigma!r}")
     if rho > eig_min + CONSTANT_SLACK * sigma:
         raise ValidationError(f"operator.rho = {rho!r} exceeds the smallest eigenvalue of the "
-                              f"matrix's symmetric part, {eig_min!r}")
+                              f"{what}'s symmetric part, {eig_min!r}")
     if rho <= 0:
         raise ValidationError(
             f"operator.rho must be positive, got {rho!r}" if d.get("rho") is not None

@@ -42,7 +42,8 @@ logger = logging.getLogger(__name__)
 
 VARIANTS = tuple(UPDATES)
 
-#: iterates with norm beyond this abort with numeric_failure
+#: an iterate whose norm exceeds this many times max(1, ||x0||) aborts with
+#: numeric_failure
 DIVERGENCE_LIMIT = 1e12
 
 STATUS_CONVERGED = "converged"
@@ -104,13 +105,28 @@ class IterationTrace:
         ])
 
 
+def divergence_limit(x0: Array) -> float:
+    """The norm beyond which an iterate started at x0 has diverged: relative
+    to the start, so that a valid start far from the origin is not itself a
+    divergence. Infinite when ||x0|| overflows."""
+    return DIVERGENCE_LIMIT * max(1.0, norm(x0))
+
+
+def diverged(x: Array, limit: float) -> bool:
+    """Whether ||x|| exceeds limit or x is not finite (NaN and Inf entries
+    count under an infinite limit too)."""
+    r = norm(x)
+    return not r <= limit or r == math.inf and not np.isfinite(x).all()
+
+
 @ignore_overflow
 def _step(variant: str, problem: QviProblem, x, lam: float):
     lam = require_positive(lam, "lambda")
     x = as_vector(x, problem.dim)
-    Fx, y = forward_backward(problem, x, lam)
+    P = problem.constraint.at(x)
+    Fx, y = forward_backward(problem, P, x, lam)
     require_finite(y, "projection oracle output")
-    return y, require_finite(UPDATES[variant](problem, x, Fx, y, lam), "next iterate")
+    return y, require_finite(UPDATES[variant](problem, P, x, Fx, y, lam), "next iterate")
 
 
 def tseng_step(problem: QviProblem, x, lam: float):
@@ -173,13 +189,16 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
         )
     xstar = problem.known_solution
     lam = config.lam
+    at = problem.constraint.at
     update = UPDATES[config.variant]
+    limit = divergence_limit(x)
     records: List[IterationRecord] = []
     last = None  # (x, y) of the newest record
     status = STATUS_MAX_ITER
     try:
         for k in range(config.max_iter + 1):
-            Fx, y = forward_backward(problem, x, lam)
+            P = at(x)
+            Fx, y = forward_backward(problem, P, x, lam)
             residual = norm(x - y)
             if not math.isfinite(residual):  # y is not finite, or x - y overflowed
                 require_finite(y, "projection oracle output")
@@ -191,8 +210,8 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
                 break
             if k == config.max_iter:
                 break
-            x = update(problem, x, Fx, y, lam)
-            if not norm(x) <= DIVERGENCE_LIMIT:  # catches NaN/Inf too
+            x = update(problem, P, x, Fx, y, lam)
+            if diverged(x, limit):
                 status = STATUS_NUMERIC_FAILURE
                 break
     except NumericFailure as exc:

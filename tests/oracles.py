@@ -3,9 +3,10 @@
 These deliberately do not import the formula implementations they check: the
 certificate oracle recomputes everything in arbitrary precision with mpmath,
 and the reference step below is a separate transcription of the single-set
-scheme. Counting wrappers instrument a problem's oracles for the
-work-accounting tests. `replay_iterates` rebuilds the iterates a solve trace
-does not keep, with the public step functions, to check its bookkeeping.
+scheme. Counting wrappers instrument a problem's oracles (and
+`counting_moving_box` a moving set's shift) for the work-accounting tests.
+`replay_iterates` rebuilds the iterates a solve trace does not keep, with
+the public step functions, to check its bookkeeping.
 `poisoned_problem` returns a non-finite value from one chosen oracle call and
 records every argument, so a test can check that none reached an oracle.
 """
@@ -14,6 +15,7 @@ import numpy as np
 from mpmath import mp, mpf, sqrt
 
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem, norm
+from qvisolve.problems import BoxSet, moving_set
 from qvisolve.solvers import extragradient_step, gradient_projection_step, tseng_step
 
 mp.dps = 50
@@ -74,6 +76,26 @@ def counting_problem(problem: QviProblem):
         name=problem.name + "+counting",
     )
     return wrapped, counts
+
+
+def counting_moving_box(n: int = 4, scale: float = 0.1):
+    """The suite's moving box, F(x) = x on K(x) = scale*x + [-1, 1]^n, built
+    by `moving_set` with a counting shift and base projection; returns
+    (problem, counts)."""
+    counts = {"shift": 0, "base": 0}
+    box = BoxSet.from_bounds(n, -1.0, 1.0)
+
+    def shift(x):
+        counts["shift"] += 1
+        return scale * x
+
+    def base(z):
+        counts["base"] += 1
+        return box.project(z)
+
+    problem = QviProblem(OperatorSpec(lambda x: x, 1.0, 1.0), moving_set(shift, scale, base), n,
+                         known_solution=np.zeros(n))
+    return problem, counts
 
 
 def poisoned_problem(oracle, nth, value, dim=1, entry=0):

@@ -131,6 +131,15 @@ def test_solve_numeric_failure_exit_code(capsys):
     assert data["status"] == "numeric_failure"
 
 
+def test_solve_far_start_converges(capsys):
+    # x0 = 2e12 lies beyond the divergence limit's 1e12, which is relative to
+    # the start's norm: x1 = 1.82e12 is no divergence
+    code, out, _ = run(capsys, ["solve", "--problem", HALFLINE_DESCRIPTOR, "--x0=2e12",
+                                "--lambda", "0.1"])
+    assert code == 0
+    assert read_trace_csv(io.StringIO(out))["status"] == "converged"
+
+
 def test_solve_problem_file_missing(capsys):
     code, _, err = run(capsys, [
         "solve", "--problem", "/nonexistent.json", "--x0", "zeros",

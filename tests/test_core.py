@@ -28,7 +28,7 @@ from qvisolve.problems import (AffineMap, BallSet, BoxSet, load_problem, make_af
                                make_l2_example, make_moving_box_problem, moving_set)
 from qvisolve.solvers import SolverConfig
 
-from oracles import assert_finite_arguments, poisoned_problem
+from oracles import assert_finite_arguments, counting_moving_box, poisoned_problem
 
 
 # ---------------------------------------------------------------- validation
@@ -311,6 +311,15 @@ def test_one_shot_entry_points_reject_non_finite_oracle_output(name, oracle, nth
     with pytest.raises(NumericFailure):
         ONE_SHOT[name][0](problem, np.array([2.0, 2.5, 3.0]))
     assert_finite_arguments(received)
+
+
+@pytest.mark.parametrize("name", list(ONE_SHOT))
+def test_one_shot_entry_points_build_a_moving_set_once(name):
+    # every projection at x goes through one projector, so one shift call
+    call, _, n_projection = ONE_SHOT[name]
+    problem, counts = counting_moving_box()
+    call(problem, np.array([0.5, -2.0, 3.0, 0.0]))
+    assert counts == {"shift": min(n_projection, 1), "base": n_projection}
 
 
 # ---------------------------------------------------------------- projection

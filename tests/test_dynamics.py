@@ -19,11 +19,19 @@ from qvisolve import (
     tseng_step,
 )
 from qvisolve import dynamics
+from qvisolve.dynamics import SCHEMES
 from qvisolve.certify import ProblemConstants, full_certificate
+from qvisolve.problems import make_moving_box_problem
 from qvisolve.core import norm
 from qvisolve.csvio import flow_to_csv, read_flow_csv
 
-from oracles import assert_finite_arguments, counting_problem, poisoned_problem, replay_iterates
+from oracles import (
+    assert_finite_arguments,
+    counting_moving_box,
+    counting_problem,
+    poisoned_problem,
+    replay_iterates,
+)
 
 
 # ------------------------------------------------------------- alpha schedule
@@ -262,6 +270,45 @@ def test_integrate_divergence_guard(halfline):
     trace = integrate(halfline, [2.0], FlowConfig(lam=1e6, h=10.0, t_end=100.0))
     assert trace.status == "numeric_failure"
     assert len(trace.t) < 11
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scale", [1e12, 2e12, 1e50, 1e155, 1e300])
+def test_far_start_flow_is_not_a_divergence(halfline, scale, scheme):
+    # the divergence limit is relative to max(1, ||x0||), as in solve
+    for problem in (halfline, make_moving_box_problem()):
+        config = FlowConfig(lam=0.1, h=0.5, t_end=20.0, scheme=scheme)
+        trace = integrate(problem, problem.known_solution + scale, config)
+        assert trace.status == "completed", problem.name
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_large_step_flow_still_diverges(problem_suite, scheme):
+    # a unit Euler step is the Tseng step, which diverges at lambda = 2.5/L
+    # from x* + 0.1 on every suite problem (see test_large_step_still_diverges)
+    for problem in problem_suite:
+        config = FlowConfig(lam=2.5 / problem.operator.lipschitz_L, h=1.0, t_end=60.0,
+                            scheme=scheme)
+        trace = integrate(problem, problem.known_solution + 0.1, config)
+        assert trace.status == "numeric_failure", problem.name
+        assert len(trace.t) <= 52, problem.name
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_flow_evaluates_the_shift_once_per_field_evaluation(scheme):
+    problem, counts = counting_moving_box()
+    integrate(problem, np.full(4, 0.5), FlowConfig(lam=0.1, h=0.1, t_end=1.0, scheme=scheme))
+    evaluations = 10 * CALLS_PER_STEP[scheme][1]
+    assert counts == {"shift": evaluations, "base": evaluations}
+
+
+@pytest.mark.parametrize("h,t_end,lam", [(0.1, 3.0, 0.1), (1e-3, 1.0, 0.1),
+                                         (0.7, 50.0, 0.1), (10.0, 100.0, 1e6)])
+def test_flow_times_are_whole_multiples_of_h(halfline, h, t_end, lam):
+    # t_i has the bits of the Python product i*h, early stops included
+    trace = integrate(halfline, [2.0], FlowConfig(lam=lam, h=h, t_end=t_end))
+    assert trace.t.tobytes() == np.array([i * h for i in range(len(trace.t))]).tobytes()
+    assert len(trace.V) == len(trace.envelope) == len(trace.t)
 
 
 # scheme -> (operator calls, projection calls) per step

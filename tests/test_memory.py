@@ -1,5 +1,6 @@
 """Traces hold a bounded number of n-vectors: `solve` keeps only its final
-iterate and `integrate` only its endpoint unless asked for every state. The
+iterate and `integrate` only its endpoint unless asked for every state; a
+flow's t, V and envelope are float64 series of one entry per step. The
 affine builder drops each n x n temporary once it has used it, and a
 descriptor problem without a matrix builds none.
 
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qvisolve import FlowConfig, SolverConfig, integrate, make_l2_example, solve
+from qvisolve import FlowConfig, SolverConfig, integrate, make_halfline_vi, make_l2_example, solve
 from qvisolve.problems import load_problem, make_affine_qvi
 from qvisolve.solvers import VARIANTS
 
@@ -53,6 +54,20 @@ def test_integrate_memory_is_bounded(l2_large):
     assert trace.status == "completed"
     assert len(trace.t) == 41 and trace.x.shape == (1, N)
     assert peak < BOUND, f"{peak / 1e6:.1f} MB"
+
+
+def test_flow_series_memory_per_step_is_bounded():
+    # t, V and the envelope are three float64 series, 24 B per step; while the
+    # envelope is formed a bool mask of t == 0 adds 1 B, and the fixed buffers
+    # (the 64 KiB einsum block) stay under 1 B per step at this length. Lists
+    # of Python floats for t and V, as the flow once kept, read about 105 B
+    steps = 100_000
+    problem = make_halfline_vi()
+    integrate(problem, [2.0], FlowConfig(lam=0.1, h=0.1, t_end=1.0))  # lazy imports
+    config = FlowConfig(lam=0.1, h=1e-3, t_end=steps * 1e-3)
+    peak, trace = peak_bytes(lambda: integrate(problem, [2.0], config))
+    assert trace.status == "completed" and len(trace.t) == steps + 1
+    assert peak < 32 * steps, f"{peak / steps:.1f} B per step"
 
 
 def test_affine_build_memory_is_bounded():

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qvisolve import (
+    ConstraintSpec,
     QviProblem,
     SolverConfig,
     ValidationError,
@@ -296,7 +297,7 @@ from qvisolve.problems import make_affine_qvi
 digests = []
 for case in json.loads(sys.argv[1]):
     p = make_affine_qvi(*case)
-    shift = inspect.getclosurevars(p.constraint.project).nonlocals["shift"]
+    shift = inspect.getclosurevars(p.constraint.at).nonlocals["shift"]
     h = hashlib.sha256()
     for a in (p.operator.func.matrix, p.operator.func.offset, shift.matrix, p.known_solution):
         h.update(a.tobytes())
@@ -467,6 +468,22 @@ def test_declared_constants_rounding_slack(name, bound, sign):
         load(bound + sign * 2.0 * CONSTANT_SLACK * 3.0)
 
 
+@pytest.mark.parametrize("operator,message", [
+    ({"L": 0.5}, "operator.L = 0.5 is below the identity's norm 1.0"),
+    ({"rho": 2.0}, "operator.rho = 2.0 exceeds the smallest eigenvalue of the identity's "
+                   "symmetric part, 1.0"),
+    ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "L": 0.5},
+     "operator.L = 0.5 is below the matrix's norm 1.0"),
+    ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "rho": 2.0},
+     "operator.rho = 2.0 exceeds the smallest eigenvalue of the matrix's symmetric part, 1.0"),
+])
+def test_declared_constant_errors_name_the_operator(operator, message):
+    # without a matrix the operator is the identity, and the message says so
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_problem({"family": "single_set_vi", "n": 2, "set": {"type": "box"},
+                      "operator": operator})
+
+
 def test_load_descriptor_errors(tmp_path):
     with pytest.raises(ValidationError):
         load_problem({"family": "unknown", "n": 3})
@@ -595,4 +612,19 @@ def test_elementwise_descriptor_oracles_keep_their_bytes():
             for x, z in points:
                 h.update(p.operator.func(x).tobytes())
                 h.update(p.constraint.project(x, z).tobytes())
+                assert p.constraint.at(x)(z).tobytes() == p.constraint.project(x, z).tobytes()
     assert h.hexdigest() == EDGE_DIGEST
+
+
+def test_projector_at_x_gives_the_bits_of_project(problem_suite):
+    # at(x) is the projector onto K(x); a plain ConstraintSpec, which gives
+    # no hook, gets project with x fixed
+    box = BoxSet.from_bounds(3, -1.0, 1.0)
+    plain = ConstraintSpec(lambda x, z: box.project(z - 0.1 * x), 0.0)
+    rng = np.random.default_rng(31)
+    for constraint, n in [(p.constraint, p.dim) for p in problem_suite] + [(plain, 3)]:
+        for _ in range(10):
+            x, *zs = 3.0 * rng.standard_normal((4, n))
+            P = constraint.at(x)
+            for z in zs:  # one projector serves every point at x
+                assert P(z).tobytes() == constraint.project(x, z).tobytes()

@@ -21,12 +21,15 @@ from qvisolve.problems import (
     AffineMap,
     BallSet,
     BoxSet,
+    make_moving_box_problem,
     moving_set,
 )
+from qvisolve.solvers import VARIANTS
 from qvisolve.csvio import read_trace_csv, trace_to_csv
 
 from oracles import (
     assert_finite_arguments,
+    counting_moving_box,
     counting_problem,
     poisoned_problem,
     reference_single_set_tseng_step,
@@ -118,6 +121,34 @@ def test_solve_reuses_residual_projection(l2_problem, geometric_x0):
           SolverConfig(lam=0.1, max_iter=20, tol=1e-30, variant="extragradient"))
     assert counts["projection"] == 2 * 20 + 1
     assert counts["operator"] == 2 * 20 + 1
+
+
+# variant -> (operator, projection) calls per step; a solve's last record
+# adds one of each
+CALLS_PER_STEP = {"tseng": (2, 1), "gradient_projection": (1, 1), "extragradient": (2, 2)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_moving_set_shift_is_evaluated_once_per_iterate(variant):
+    # K(x) is built once per iterate: extragradient's second projection reuses
+    # the shift of its first, so k steps make k + 1 shift calls for every variant
+    k = 20
+    x0 = np.full(4, 0.5)
+    config = SolverConfig(lam=0.1, max_iter=k, tol=1e-30, variant=variant)
+    n_operator, n_projection = CALLS_PER_STEP[variant]
+    problem, counts = counting_moving_box()
+    trace = solve(problem, x0, config)
+    assert len(trace.records) == k + 1
+    assert counts == {"shift": k + 1, "base": n_projection * k + 1}
+    # wrapping project(x, z) in a plain ConstraintSpec, as the benchmark's
+    # traced accounting does, builds K(x) per projection and keeps the bits
+    counts.update(shift=0, base=0)
+    wrapped, calls = counting_problem(problem)
+    wrapped_trace = solve(wrapped, x0, config)
+    assert calls == {"operator": n_operator * k + 1, "projection": n_projection * k + 1}
+    assert counts == {"shift": n_projection * k + 1, "base": n_projection * k + 1}
+    assert np.array_equal(wrapped_trace.residuals(), trace.residuals())
+    assert np.array_equal(wrapped_trace.final.x, trace.final.x)
 
 
 def test_scheme_equivalence_single_set(halfline):
@@ -233,6 +264,31 @@ def test_solve_divergence_guard(halfline):
     assert 0 < len(trace.records) <= 101
     # the final record is the last iterate within the limit, not the one beyond
     replay_iterates(halfline, [2.0], trace)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("scale", [1e12, 2e12, 1e50, 1e155, 1e300])
+def test_far_start_is_not_a_divergence(halfline, scale, variant):
+    # the divergence limit is relative to max(1, ||x0||); beyond 1.34e154 the
+    # start's norm overflows and the limit is infinite
+    for problem in (halfline, make_moving_box_problem()):
+        x0 = problem.known_solution + scale
+        trace = solve(problem, x0, SolverConfig(lam=0.1, variant=variant))
+        assert trace.status != "numeric_failure", problem.name
+
+
+def test_large_step_still_diverges(problem_suite, halfline):
+    # at lambda = 2.5/L from x* + 0.1, Tseng diverges on every suite problem:
+    # the l2 example by its 52nd record, the others by their 33rd
+    for problem in problem_suite:
+        config = SolverConfig(lam=2.5 / problem.operator.lipschitz_L, max_iter=60)
+        trace = solve(problem, problem.known_solution + 0.1, config)
+        assert trace.status == "numeric_failure", problem.name
+        assert len(trace.records) <= 52, problem.name
+    # from a far start too, and then within the start's scale
+    trace = solve(halfline, [1e100], SolverConfig(lam=1e6, max_iter=100))
+    assert trace.status == "numeric_failure"
+    assert abs(trace.final.x[0]) <= 1e112
 
 
 def test_solve_nan_oracle_gives_partial_trace():
