@@ -26,13 +26,13 @@ from typing import IO, List, Optional, Sequence, Union
 import numpy as np
 
 from .certify import ProblemConstants, certificate_table, constant_errors, full_certificate
-from .core import NumericFailure, ValidationError, as_vector
+from .core import VARIANTS, NumericFailure, ValidationError, as_vector
 from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_csv,
                     sweep_to_csv, trace_to_csv, write_lines)
 from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
 from .dynamics import SCHEMES, AlphaSchedule, FlowConfig, integrate
 from .problems import load_problem, read_json_object
-from .solvers import STATUS_NUMERIC_FAILURE, VARIANTS, SolverConfig, solve
+from .solvers import STATUS_NUMERIC_FAILURE, SolverConfig, solve
 
 # the most cells one sweep may have (and so the largest 'a:b:N' count); a
 # million cells write about 240 MB of CSV

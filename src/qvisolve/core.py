@@ -4,7 +4,8 @@ A problem couples an operator oracle F (with declared Lipschitz and strong
 monotonicity constants) to a parametric projection oracle (x, z) -> P_{K(x)}(z)
 (with a declared parametric Lipschitz constant). Everything downstream --
 residuals, the Tseng vector field, the discrete schemes -- is built from these
-two oracles through one step kernel: `forward_backward` plus `UPDATES`.
+two oracles through one step kernel: `forward_backward` plus `UPDATES`, and
+`step` takes one step of any variant.
 
 All vectors are dense 1-D float64 arrays. Problems and oracles are immutable
 after construction and safe to share across workers; every operation here is a
@@ -296,6 +297,27 @@ def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     return require_finite(tseng_field(problem, as_vector(x, problem.dim), lam), "Tseng map")
 
 
+@ignore_overflow
+def step(problem: QviProblem, x, lam: float, variant: str = "tseng"):
+    """One step of a scheme from x; returns (y, x_next), where
+
+        y = P_{K(x)}(x - lam*F(x))
+
+    is the forward-backward point every variant shares (||x - y|| is the
+    natural residual) and x_next is the variant's update of it (`UPDATES`):
+    tseng y + lam*(F(x) - F(y)), 2 operator calls and 1 projection;
+    gradient_projection y itself, 1 and 1; extragradient
+    P_{K(x)}(x - lam*F(y)), 2 and 2. K(x) is built once.
+    """
+    update = require_variant(variant)
+    lam = require_positive(lam, "lambda")
+    x = as_vector(x, problem.dim)
+    P = problem.constraint.at(x)
+    Fx, y = forward_backward(problem, P, x, lam)
+    require_finite(y, "projection oracle output")
+    return y, require_finite(update(problem, P, x, Fx, y, lam), "next iterate")
+
+
 # The step kernel. Callers validate x and lam once, at entry, and take the
 # projector P = problem.constraint.at(x) once per iterate: every projection at
 # x goes through it, so extragradient's second projection reuses what the
@@ -338,6 +360,15 @@ UPDATES = {
     "gradient_projection": lambda p, P, x, Fx, y, lam: y,
     "extragradient": lambda p, P, x, Fx, y, lam: _project_step(p, P, x, _operator(p, y), lam),
 }
+VARIANTS = tuple(UPDATES)
+
+
+def require_variant(variant) -> Callable:
+    """The update of variant, one of VARIANTS; any other value (an unhashable
+    one too) is a ValidationError."""
+    if variant not in VARIANTS:
+        raise ValidationError(f"variant must be one of {'/'.join(VARIANTS)}, got {variant!r}")
+    return UPDATES[variant]
 
 
 def tseng_field(problem: QviProblem, x: Array, lam: float) -> Array:

@@ -13,8 +13,8 @@ x + f(x) = y + lam*(F(x) - F(y)).
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional, Tuple
 
 import numpy as np
@@ -39,8 +39,8 @@ from .solvers import STATUS_NUMERIC_FAILURE, divergence_limit, diverged
 SCHEMES = ("euler", "rk4")
 
 #: the most steps one flow may take: t, V and the envelope are float64 series,
-#: and tracemalloc reads a peak of about 26 B per step (half-line, 1e5 steps),
-#: so this many peak near 260 MB
+#: and tracemalloc reads a peak of about 26 B per step (half-line, 1e5 steps;
+#: 41 B with an alpha schedule), so this many peak near 260 MB (410 MB)
 MAX_FLOW_STEPS = 10_000_000
 #: the most entries the states of a flow integrated with keep_states may
 #: hold: 800 MB of float64
@@ -75,23 +75,28 @@ class AlphaSchedule:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def constant(cls, value: float) -> "AlphaSchedule":
-        return cls((0.0,), (value,))
-
     def __call__(self, t: float) -> float:
         idx = bisect.bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
 
-    def integral(self, t: float) -> float:
-        """Exact \\int_0^t alpha(s) ds for the piecewise-constant table."""
-        total = 0.0
-        for i, (start, value) in enumerate(zip(self.times, self.values)):
-            if t <= start:
-                break
-            end = self.times[i + 1] if i + 1 < len(self.times) else math.inf
-            total += value * (min(t, end) - start)
-        return total
+    def integral(self, t):
+        """Exact \\int_0^t alpha(s) ds for the piecewise-constant table (0 for
+        t <= 0), at a float t, or at each entry of an array t. Each value is
+        the integral over the whole pieces below t, summed left to right, plus
+        the share of the piece holding t: the sum a piece-by-piece loop forms,
+        in the same order, so with the same bits."""
+        times, values = self.times, self.values
+        widths = (v * (b - a) for a, b, v in zip(times, times[1:], values))
+        below = np.fromiter(accumulate(widths, initial=0.0), float, len(times))
+        ta = np.atleast_1d(np.asarray(t, dtype=float))
+        j = np.searchsorted(times, ta, "right")
+        j -= 1
+        np.maximum(j, 0, out=j)
+        out = np.subtract(ta, np.take(times, j))
+        np.maximum(out, 0.0, out=out)
+        out *= np.take(values, j)
+        out += np.take(below, j)
+        return out if np.ndim(t) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,8 @@ class FlowConfig:
             raise ValidationError(f"t_end/h = {steps!r} steps exceed the limit of {MAX_FLOW_STEPS}")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {'/'.join(SCHEMES)}, got {self.scheme!r}")
+        if not (self.alpha is None or isinstance(self.alpha, AlphaSchedule)):
+            raise ValidationError(f"alpha must be an AlphaSchedule or None, got {self.alpha!r}")
         object.__setattr__(self, "steps", round(steps))
 
 
@@ -246,10 +253,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     V = envelope = None
     if lyapunov is not None:
         V = lyapunov.values()
-        if alpha is None:
-            scaled_time = tarr
-        else:
-            scaled_time = np.array([alpha.integral(tv) for tv in tarr])
+        scaled_time = tarr if alpha is None else alpha.integral(tarr)
         # with a positive exponent the bound can overflow to inf, which is the
         # honest value of the envelope there (NaN where V[0] = 0); the exponent
         # is 0 where the scaled time is, as Lambda * 0 is NaN for an infinite

@@ -27,7 +27,6 @@ from .core import (
     Array,
     NumericFailure,
     QviProblem,
-    ValidationError,
     as_vector,
     forward_backward,
     ignore_overflow,
@@ -35,12 +34,11 @@ from .core import (
     require_count,
     require_finite,
     require_positive,
+    require_variant,
 )
 from .csvio import read_trace_csv  # noqa: F401  (bench/workloads.py imports it from here)
 
 logger = logging.getLogger(__name__)
-
-VARIANTS = tuple(UPDATES)
 
 #: an iterate whose norm exceeds this many times max(1, ||x0||) aborts with
 #: numeric_failure
@@ -62,10 +60,7 @@ class SolverConfig:
         require_positive(self.lam, "lambda")
         require_positive(self.tol, "tol")
         require_count(self.max_iter, "max_iter")
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"variant must be one of {'/'.join(VARIANTS)}, got {self.variant!r}"
-            )
+        require_variant(self.variant)
 
 
 @dataclass
@@ -117,35 +112,6 @@ def diverged(x: Array, limit: float) -> bool:
     count under an infinite limit too)."""
     r = norm(x)
     return not r <= limit or r == math.inf and not np.isfinite(x).all()
-
-
-@ignore_overflow
-def _step(variant: str, problem: QviProblem, x, lam: float):
-    lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
-    P = problem.constraint.at(x)
-    Fx, y = forward_backward(problem, P, x, lam)
-    require_finite(y, "projection oracle output")
-    return y, require_finite(UPDATES[variant](problem, P, x, Fx, y, lam), "next iterate")
-
-
-def tseng_step(problem: QviProblem, x, lam: float):
-    """One forward-backward-forward step; returns (y, x_next).
-
-    Exactly one projection and two operator evaluations.
-    """
-    return _step("tseng", problem, x, lam)
-
-
-def gradient_projection_step(problem: QviProblem, x, lam: float) -> Array:
-    """x -> P_{K(x)}(x - lam*F(x)): one projection, one operator evaluation."""
-    return _step("gradient_projection", problem, x, lam)[1]
-
-
-def extragradient_step(problem: QviProblem, x, lam: float) -> Array:
-    """y = P_{K(x)}(x - lam*F(x)); x -> P_{K(x)}(x - lam*F(y)):
-    two projections, two operator evaluations."""
-    return _step("extragradient", problem, x, lam)[1]
 
 
 def _empirical_rate(records: List[IterationRecord], use_dist: bool) -> Optional[float]:

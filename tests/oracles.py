@@ -6,17 +6,21 @@ and the reference step below is a separate transcription of the single-set
 scheme. Counting wrappers instrument a problem's oracles (and
 `counting_moving_box` a moving set's shift) for the work-accounting tests.
 `replay_iterates` rebuilds the iterates a solve trace does not keep, with
-the public step functions, to check its bookkeeping.
+the public `step`, to check its bookkeeping. `loop_alpha_integral` is the
+piece-by-piece integral of an alpha schedule, the reference for the array
+form `AlphaSchedule.integral` computes.
 `poisoned_problem` returns a non-finite value from one chosen oracle call and
 records every argument, so a test can check that none reached an oracle.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem, norm
 from qvisolve.problems import BoxSet, moving_set
-from qvisolve.solvers import extragradient_step, gradient_projection_step, tseng_step
+from qvisolve import step
 
 mp.dps = 50
 
@@ -129,7 +133,7 @@ def assert_finite_arguments(received):
             assert np.isfinite(a).all(), f"{name} oracle received {a}"
 
 
-def reference_single_set_tseng_step(base_projection, operator, x, lam):
+def reference_single_set_fbf_step(base_projection, operator, x, lam):
     """Textbook single-set forward-backward-forward step, written separately
     from the package implementation for the scheme-equivalence check."""
     y = base_projection(x - lam * operator(x))
@@ -137,31 +141,36 @@ def reference_single_set_tseng_step(base_projection, operator, x, lam):
 
 
 def replay_iterates(problem: QviProblem, x0, trace):
-    """The (x_k, y_k) of every record of a solve trace, rebuilt with the public
-    step function of its variant.
+    """The (x_k, y_k) of every record of a solve trace, rebuilt with `step`
+    in the trace's variant.
 
     Asserts that the rebuilt pairs give the trace's residuals and distances
     bit for bit, that only the final record keeps x and y, and that they are
     the last rebuilt pair.
     """
-    lam = trace.lam
-    step = {
-        "tseng": lambda x: tseng_step(problem, x, lam)[1],
-        "gradient_projection": lambda x: gradient_projection_step(problem, x, lam),
-        "extragradient": lambda x: extragradient_step(problem, x, lam),
-    }[trace.variant]
     xstar = problem.known_solution
     pairs = []
     x = np.array(x0, dtype=float)
     for rec in trace.records:
-        if pairs:
-            x = step(x)
-        y = tseng_step(problem, x, lam)[0]  # the same projection for every variant
+        y, x_next = step(problem, x, trace.lam, trace.variant)
         assert rec.residual == norm(x - y), rec.k
         assert rec.dist_to_solution == (None if xstar is None else norm(x - xstar)), rec.k
         pairs.append((x, y))
+        x = x_next
     assert all(r.x is None and r.y is None for r in trace.records[:-1])
     if pairs:
         assert np.array_equal(trace.final.x, pairs[-1][0])
         assert np.array_equal(trace.final.y, pairs[-1][1])
     return pairs
+
+
+def loop_alpha_integral(times, values, t):
+    """\\int_0^t alpha(s) ds of the schedule values[i] on [times[i], times[i+1]),
+    summed piece by piece, left to right, in Python floats."""
+    total = 0.0
+    for i, (start, value) in enumerate(zip(times, values)):
+        if t <= start:
+            break
+        end = times[i + 1] if i + 1 < len(times) else math.inf
+        total += value * (min(t, end) - start)
+    return total

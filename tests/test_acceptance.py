@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from qvisolve import evaluate_operator, integrate, project, tseng_step
+from qvisolve import evaluate_operator, integrate, project, step
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.cli import main
 from qvisolve.csvio import read_compare_csv, read_sweep_csv
@@ -234,7 +234,7 @@ def test_criterion_6_discrete_continuous_consistency(
                           keep_states=True)
         x = x0.copy()
         for k in range(100):
-            _, x = tseng_step(problem, x, 0.1)
+            _, x = step(problem, x, 0.1)
             worst = max(worst, float(np.max(np.abs(trace.x[k + 1] - x))))
     errs = []
     for h in (0.5, 0.25):

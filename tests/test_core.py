@@ -13,13 +13,11 @@ from qvisolve import (
     QviProblem,
     ValidationError,
     evaluate_operator,
-    extragradient_step,
-    gradient_projection_step,
     natural_residual,
     norm,
     project,
+    step,
     tseng_map,
-    tseng_step,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
@@ -83,6 +81,9 @@ BAD_SCALARS = {
     "AlphaSchedule-bool": (lambda: AlphaSchedule((0.0,), (True,)), "alpha value"),
     "AlphaSchedule-nan-time": (lambda: AlphaSchedule((0.0, np.nan), (1.0, 2.0)), "alpha time"),
     "FlowConfig-str": (lambda: FlowConfig(lam=0.1, h="0.1", t_end=1.0), "h"),
+    "FlowConfig-alpha-float": (lambda: FlowConfig(lam=0.1, h=0.1, t_end=1.0, alpha=2.0), "alpha"),
+    "FlowConfig-alpha-str": (lambda: FlowConfig(lam=0.1, h=0.1, t_end=1.0, alpha="0:1"),
+                             "alpha"),
 }
 
 
@@ -291,9 +292,9 @@ ONE_SHOT = {
     "project": (lambda p, x: project(p, x, x), 0, 1),
     "natural_residual": (lambda p, x: natural_residual(p, x, 0.1), 1, 1),
     "tseng_map": (lambda p, x: tseng_map(p, x, 0.1), 2, 1),
-    "tseng_step": (lambda p, x: tseng_step(p, x, 0.1), 2, 1),
-    "gradient_projection_step": (lambda p, x: gradient_projection_step(p, x, 0.1), 1, 1),
-    "extragradient_step": (lambda p, x: extragradient_step(p, x, 0.1), 2, 2),
+    "step-tseng": (lambda p, x: step(p, x, 0.1, "tseng"), 2, 1),
+    "step-gradient_projection": (lambda p, x: step(p, x, 0.1, "gradient_projection"), 1, 1),
+    "step-extragradient": (lambda p, x: step(p, x, 0.1, "extragradient"), 2, 2),
 }
 ONE_SHOT_CALLS = [
     (name, oracle, nth)

@@ -3,9 +3,12 @@
 import io
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qvisolve import csvio
 from qvisolve.cli import main
@@ -205,3 +208,50 @@ def test_reader_rejects_a_file_that_is_not_utf8(tmp_path, reader, text):
     path.write_bytes(text.encode("utf-8") + b"# \xff\n")
     with pytest.raises(ValidationError, match="^CSV is not UTF-8 text"):
         reader(path)
+
+
+# ---------------------------------------------------------- generated text
+
+READERS = (read_trace_csv, read_compare_csv, read_flow_csv, read_sweep_csv)
+# cells the writers print, and text they never print: junk, numbers float()
+# reads in unusual forms, and out-of-range or non-finite values
+_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["", "true", "false", "tseng", "extragradient", "nan", "-inf", "1e999",
+                     "-0", "1_0", " 1 ", "0x1", "١", "9" * 400, "status", "error: x"]),
+    st.text(max_size=6),
+)
+_keys = st.sampled_from(["lambda", "Lambda", "status", "variant", "certificate_warning",
+                         "cells", "sweep", "tseng", ""])
+_lines = st.one_of(
+    st.lists(_cells, max_size=6).map(",".join),
+    st.tuples(_keys, _cells).map(lambda kv: f"# {kv[0]}: {kv[1]}"),
+    st.sampled_from(["# ", "#", ",", ",,,", "k,residual,dist_to_solution", "t,V,envelope,x0",
+                     "variant,k,residual,dist_to_solution", "lambda,l,status"]),
+)
+# a document: a well-formed table, generated lines spliced into it, and the
+# whole text cut at some point (a truncated last line)
+_documents = st.tuples(st.sampled_from([TRACE, COMPARE, FLOW, SWEEP, ""]),
+                       st.lists(st.tuples(st.integers(0, 8), _lines), max_size=6),
+                       st.integers(0, 400)).map(
+    lambda doc: "\n".join(_splice(doc[0].split("\n"), doc[1]))[:doc[2]])
+
+
+def _splice(lines, inserts):
+    for at, line in inserts:
+        lines.insert(min(at, len(lines)), line)
+    return lines
+
+
+@given(_documents)
+def test_readers_return_or_raise_a_validation_error(text):
+    # whatever the text, a reader gives a result or a ValidationError: no
+    # other exception and no RuntimeWarning (the suite turns those into errors)
+    for reader in READERS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                reader(io.StringIO(text))
+            except ValidationError:
+                pass

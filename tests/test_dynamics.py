@@ -1,7 +1,10 @@
 import io
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qvisolve import (
     AlphaSchedule,
@@ -15,8 +18,8 @@ from qvisolve import (
     make_l2_example,
     natural_residual,
     solve,
+    step,
     tseng_map,
-    tseng_step,
 )
 from qvisolve import dynamics
 from qvisolve.dynamics import SCHEMES
@@ -29,6 +32,7 @@ from oracles import (
     assert_finite_arguments,
     counting_moving_box,
     counting_problem,
+    loop_alpha_integral,
     poisoned_problem,
     replay_iterates,
 )
@@ -63,7 +67,28 @@ def test_alpha_schedule_integral():
     assert alpha.integral(2.0) == 2.0
     assert alpha.integral(4.0) == pytest.approx(3.0)
     assert alpha.integral(6.0) == pytest.approx(2.0 + 1.5 + 2.0)
-    assert AlphaSchedule.constant(3.0).integral(4.0) == 12.0
+    assert AlphaSchedule((0.0,), (3.0,)).integral(4.0) == 12.0
+
+
+# a schedule: strictly increasing breakpoints from 0 (gaps from a grid and
+# from the reals) and a nonnegative value for each
+_gaps = st.one_of(st.floats(1e-3, 10.0), st.sampled_from([0.1, 0.3, 1.0 / 3.0, 1.0, 2.5]))
+_schedules = st.lists(st.tuples(_gaps, st.floats(0.0, 5.0)), min_size=1, max_size=6).map(
+    lambda pieces: (tuple(accumulate((g for g, _ in pieces[1:]), initial=0.0)),
+                    tuple(v for _, v in pieces)))
+
+
+@given(_schedules, st.lists(st.floats(-1.0, 40.0), max_size=20),
+       st.sampled_from([1e-3, 0.01, 0.1, 0.25, 1.0 / 3.0]))
+def test_alpha_integral_matches_the_piece_by_piece_loop(schedule, points, h):
+    # the array form keeps the loop's bits: at flow grid points i*h, at every
+    # breakpoint exactly, and at any other point, before 0 included
+    times, values = schedule
+    alpha = AlphaSchedule(times, values)
+    t = np.concatenate([np.arange(200) * h, times, points])
+    expected = np.array([loop_alpha_integral(times, values, float(tv)) for tv in t])
+    assert alpha.integral(t).tobytes() == expected.tobytes()
+    assert [alpha.integral(float(tv)) for tv in t] == expected.tolist()
 
 
 # --------------------------------------------------------------------- field
@@ -135,7 +160,7 @@ def test_unit_euler_matches_discrete_scheme(l2_problem, halfline, geometric_x0):
         assert trace.status == "completed"
         x = x0.copy()
         for k in range(100):
-            _, x = tseng_step(problem, x, 0.1)
+            _, x = step(problem, x, 0.1)
             assert np.allclose(trace.x[k + 1], x, atol=1e-12), (problem.name, k)
 
 
@@ -261,7 +286,7 @@ def test_overflowing_gamma_fails_before_any_oracle_call(halfline, run):
 
 def test_alpha_zero_freezes_the_flow(halfline):
     config = FlowConfig(lam=0.1, h=0.5, t_end=2.0, scheme="euler",
-                        alpha=AlphaSchedule.constant(0.0))
+                        alpha=AlphaSchedule((0.0,), (0.0,)))
     trace = integrate(halfline, [2.0], config, keep_states=True)
     assert np.all(trace.x == 2.0)
 

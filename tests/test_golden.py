@@ -17,7 +17,7 @@ from qvisolve import cli
 from qvisolve.cli import main
 from qvisolve.csvio import flow_to_csv
 from qvisolve.problems import default_problem_suite
-from qvisolve.solvers import VARIANTS
+from qvisolve.core import VARIANTS
 
 L2_20 = '{"family": "l2_example", "n": 20}'
 

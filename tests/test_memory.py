@@ -14,9 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qvisolve import FlowConfig, SolverConfig, integrate, make_halfline_vi, make_l2_example, solve
+from qvisolve import (AlphaSchedule, FlowConfig, SolverConfig, integrate, make_halfline_vi,
+                      make_l2_example, solve)
 from qvisolve.problems import load_problem, make_affine_qvi
-from qvisolve.solvers import VARIANTS
+from qvisolve.core import VARIANTS
 
 N = 100_000
 BOUND = 16 * N * 8  # 16 float vectors: 12.8 MB
@@ -56,18 +57,29 @@ def test_integrate_memory_is_bounded(l2_large):
     assert peak < BOUND, f"{peak / 1e6:.1f} MB"
 
 
-def test_flow_series_memory_per_step_is_bounded():
+# alpha -> the tracemalloc bound on a half-line flow's peak, in B per step
+FLOW_SERIES_BOUND = {
     # t, V and the envelope are three float64 series, 24 B per step; while the
     # envelope is formed a bool mask of t == 0 adds 1 B, and the fixed buffers
     # (the 64 KiB einsum block) stay under 1 B per step at this length. Lists
     # of Python floats for t and V, as the flow once kept, read about 105 B
+    None: 32,
+    # the scaled time adds a fourth series, and while it is formed an int64
+    # piece index and one gathered float64 temporary: about 41 B. One Python
+    # float per step, as the scaled time once was, reads about 57 B
+    AlphaSchedule((0.0, 20.0, 50.0), (1.0, 0.5, 2.0)): 48,
+}
+
+
+@pytest.mark.parametrize("alpha", list(FLOW_SERIES_BOUND), ids=["unscaled", "3-piece-alpha"])
+def test_flow_series_memory_per_step_is_bounded(alpha):
     steps = 100_000
     problem = make_halfline_vi()
-    integrate(problem, [2.0], FlowConfig(lam=0.1, h=0.1, t_end=1.0))  # lazy imports
-    config = FlowConfig(lam=0.1, h=1e-3, t_end=steps * 1e-3)
+    integrate(problem, [2.0], FlowConfig(lam=0.1, h=0.1, t_end=1.0, alpha=alpha))  # lazy imports
+    config = FlowConfig(lam=0.1, h=1e-3, t_end=steps * 1e-3, alpha=alpha)
     peak, trace = peak_bytes(lambda: integrate(problem, [2.0], config))
     assert trace.status == "completed" and len(trace.t) == steps + 1
-    assert peak < 32 * steps, f"{peak / steps:.1f} B per step"
+    assert peak < FLOW_SERIES_BOUND[alpha] * steps, f"{peak / steps:.1f} B per step"
 
 
 def test_affine_build_memory_is_bounded():

@@ -1,4 +1,5 @@
 import io
+import re
 import warnings
 
 import numpy as np
@@ -11,10 +12,8 @@ from qvisolve import (
     SolverConfig,
     ValidationError,
     evaluate_operator,
-    extragradient_step,
-    gradient_projection_step,
     solve,
-    tseng_step,
+    step,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.problems import (
@@ -24,7 +23,7 @@ from qvisolve.problems import (
     make_moving_box_problem,
     moving_set,
 )
-from qvisolve.solvers import VARIANTS
+from qvisolve.core import VARIANTS
 from qvisolve.csvio import read_trace_csv, trace_to_csv
 
 from oracles import (
@@ -32,7 +31,7 @@ from oracles import (
     counting_moving_box,
     counting_problem,
     poisoned_problem,
-    reference_single_set_tseng_step,
+    reference_single_set_fbf_step,
     replay_iterates,
 )
 
@@ -47,58 +46,61 @@ HALFLINE_DISTS = (1.0, 0.82, 0.6562, 0.507142, 0.37149922, 0.2480642902)
 
 # -------------------------------------------------------------------- steps
 
-def test_tseng_step_halfline(halfline):
-    y, x_next = tseng_step(halfline, [2.0], 0.1)
-    assert y[0] == pytest.approx(1.8, rel=1e-15)
-    assert x_next[0] == pytest.approx(1.82, rel=1e-15)
+# variant -> (y, x_next) of one step from x = 2 on the half-line at lambda = 0.1
+HALFLINE_STEP = {"tseng": (1.8, 1.82), "gradient_projection": (1.8, 1.8),
+                 "extragradient": (1.8, 1.82)}
 
 
-def test_gradient_projection_step_halfline(halfline):
-    x_next = gradient_projection_step(halfline, [2.0], 0.1)
-    assert x_next[0] == pytest.approx(1.8, rel=1e-15)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_halfline(halfline, variant):
+    y, x_next = step(halfline, [2.0], 0.1, variant)
+    assert y[0] == pytest.approx(HALFLINE_STEP[variant][0], rel=1e-15)
+    assert x_next[0] == pytest.approx(HALFLINE_STEP[variant][1], rel=1e-15)
 
 
-def test_extragradient_step_halfline(halfline):
-    x_next = extragradient_step(halfline, [2.0], 0.1)
-    assert x_next[0] == pytest.approx(1.82, rel=1e-15)
+@pytest.mark.parametrize("variant", ["unknown", ["tseng"], None, 0])
+def test_unknown_variant_is_rejected_alike(halfline, variant):
+    # SolverConfig and step share one check; an unhashable variant is not a TypeError
+    message = re.escape("variant must be one of tseng/gradient_projection/extragradient, "
+                        f"got {variant!r}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SolverConfig(lam=0.1, variant=variant)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        step(halfline, [2.0], 0.1, variant)
 
 
 def test_all_steps_fix_known_solutions(problem_suite):
     for problem in problem_suite:
         xstar = problem.known_solution
-        y, x_next = tseng_step(problem, xstar, 0.1)
-        assert np.linalg.norm(x_next - xstar) <= 1e-10, problem.name
-        assert np.linalg.norm(y - xstar) <= 1e-10, problem.name
-        gp = gradient_projection_step(problem, xstar, 0.1)
-        assert np.linalg.norm(gp - xstar) <= 1e-10, problem.name
-        eg = extragradient_step(problem, xstar, 0.1)
-        assert np.linalg.norm(eg - xstar) <= 1e-10, problem.name
+        for variant in VARIANTS:
+            y, x_next = step(problem, xstar, 0.1, variant)
+            assert np.linalg.norm(x_next - xstar) <= 1e-10, (problem.name, variant)
+            assert np.linalg.norm(y - xstar) <= 1e-10, (problem.name, variant)
 
 
 def test_l2_single_step_values(l2_problem):
     x = np.zeros(50)
     x[0] = 1.0
-    y, x_next = tseng_step(l2_problem, x, 0.1)
+    y, x_next = step(l2_problem, x, 0.1)
     assert y[0] == pytest.approx(L2_STEP_Y0, rel=1e-13)
     assert np.all(y[1:] == 0.0)
     assert x_next[0] == pytest.approx(L2_STEP_XNEXT0, rel=1e-13)
-    gp = gradient_projection_step(l2_problem, x, 0.1)
+    gp = step(l2_problem, x, 0.1, "gradient_projection")[1]
     assert gp[0] == pytest.approx(L2_STEP_Y0, rel=1e-13)
-    eg = extragradient_step(l2_problem, x, 0.1)
+    eg = step(l2_problem, x, 0.1, "extragradient")[1]
     assert eg[0] == pytest.approx(L2_STEP_XNEXT0, rel=1e-13)
 
 
-def test_work_accounting(l2_problem):
-    x = np.ones(50)
+# variant -> (operator, projection) calls per step; a solve's last record
+# adds one of each
+CALLS_PER_STEP = {"tseng": (2, 1), "gradient_projection": (1, 1), "extragradient": (2, 2)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_work_accounting(l2_problem, variant):
     wrapped, counts = counting_problem(l2_problem)
-    tseng_step(wrapped, x, 0.1)
-    assert counts == {"operator": 2, "projection": 1}
-    wrapped, counts = counting_problem(l2_problem)
-    gradient_projection_step(wrapped, x, 0.1)
-    assert counts == {"operator": 1, "projection": 1}
-    wrapped, counts = counting_problem(l2_problem)
-    extragradient_step(wrapped, x, 0.1)
-    assert counts == {"operator": 2, "projection": 2}
+    step(wrapped, np.ones(50), 0.1, variant)
+    assert (counts["operator"], counts["projection"]) == CALLS_PER_STEP[variant]
 
 
 def test_solve_reuses_residual_projection(l2_problem, geometric_x0):
@@ -121,11 +123,6 @@ def test_solve_reuses_residual_projection(l2_problem, geometric_x0):
           SolverConfig(lam=0.1, max_iter=20, tol=1e-30, variant="extragradient"))
     assert counts["projection"] == 2 * 20 + 1
     assert counts["operator"] == 2 * 20 + 1
-
-
-# variant -> (operator, projection) calls per step; a solve's last record
-# adds one of each
-CALLS_PER_STEP = {"tseng": (2, 1), "gradient_projection": (1, 1), "extragradient": (2, 2)}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -152,12 +149,12 @@ def test_moving_set_shift_is_evaluated_once_per_iterate(variant):
 
 
 def test_scheme_equivalence_single_set(halfline):
-    # on single-set problems tseng_step matches an independent reference
+    # on single-set problems `step` matches an independent reference
     rng = np.random.default_rng(21)
     for _ in range(100):
         x = np.array([rng.uniform(-3.0, 5.0)])
-        _, mine = tseng_step(halfline, x, 0.1)
-        ref = reference_single_set_tseng_step(
+        _, mine = step(halfline, x, 0.1)
+        ref = reference_single_set_fbf_step(
             BoxSet.from_bounds(1, 1.0, None).project,
             lambda v: v, x, 0.1)
         assert np.allclose(mine, ref, atol=1e-12)
@@ -169,8 +166,8 @@ def test_scheme_equivalence_single_set(halfline):
                          ConstraintSpec(lambda x, z: ball.project(z), 0.0), 3)
     for _ in range(100):
         x = rng.normal(size=3) * 2.0
-        _, mine = tseng_step(problem, x, 0.2)
-        ref = reference_single_set_tseng_step(ball.project, amap, x, 0.2)
+        _, mine = step(problem, x, 0.2)
+        ref = reference_single_set_fbf_step(ball.project, amap, x, 0.2)
         assert np.allclose(mine, ref, atol=1e-12)
 
 
