@@ -84,7 +84,8 @@ class Certificate:
     radicand_ok: bool
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready mapping; non-finite floats become null."""
+        """Flat JSON-ready mapping; non-finite floats become null, and so does
+        moving_rhs without a moving set."""
         out = {}
         for name in _FLOAT_FIELDS:
             v = getattr(self, name)
@@ -92,26 +93,6 @@ class Certificate:
         for name in _FLAG_FIELDS:
             out[name] = bool(getattr(self, name))
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Certificate":
-        """to_dict's mapping read back: null is NaN, or None for moving_rhs. A
-        missing field, a flag that is not a bool and a float field that is not
-        a number or null are each a ValidationError naming the field."""
-        for name in _FLOAT_FIELDS + _FLAG_FIELDS:
-            if name not in d:
-                raise ValidationError(f"certificate field {name} is missing")
-        values = {}
-        for name in _FLOAT_FIELDS:
-            if d[name] is not None:
-                values[name] = as_number(d[name], f"certificate field {name}")
-            else:
-                values[name] = None if name == "moving_rhs" else math.nan
-        for name in _FLAG_FIELDS:
-            if type(d[name]) is not bool:
-                raise ValidationError(f"certificate field {name} must be true or false, "
-                                      f"got {d[name]!r}")
-        return cls(**values, **{name: d[name] for name in _FLAG_FIELDS})
 
 
 _FLAG_FIELDS = tuple(f.name for f in fields(Certificate) if f.type == "bool")
@@ -219,24 +200,22 @@ def full_certificate(c: ProblemConstants) -> Certificate:
     return _certificate(certificate_table(c.L, c.rho, c.l, c.lam, beta), c.beta is not None)
 
 
-def best_lambda(L: float, rho: float, l: float, grid: int = 1001) -> Tuple[float, Certificate]:
+def best_lambda(L: float, rho: float, l: float) -> Tuple[float, Certificate]:
     """Grid-search the step size minimizing the squared per-step rate bound r.
 
     The scan is a logarithmic grid on (0, 20*rho/L^2] (lower end 1e-6 of the
-    upper end, `grid` points). r >= 1 for every admissible step size -- see the
+    upper end, 1001 points). r >= 1 for every admissible step size -- see the
     feasibility sweep -- so the minimizer is a principled default step size, not
     a certified linear rate; it is returned together with its certificate.
     Deterministic for fixed inputs; ties resolve to the smallest lambda, and a
     NaN rate is never picked unless it is the first.
     """
-    if not (isinstance(grid, int) and grid >= 2):
-        raise ValidationError(f"grid must be an integer >= 2, got {grid!r}")
     ProblemConstants(L=L, rho=rho, l=l, lam=1.0)  # checks L, rho and l; the grid sets lambda
     upper = 20.0 * rho / (L * L) if L * L > 0.0 else math.inf
     if not (upper * 1e-6 > 0.0 and upper < math.inf):
         raise ValidationError(f"lambda grid (1e-6, 1] * 20*rho/L^2 leaves the float "
                               f"range: 20*rho/L^2 = {upper!r} for L={L!r}, rho={rho!r}")
-    lams = np.geomspace(upper * 1e-6, upper, grid)
+    lams = np.geomspace(upper * 1e-6, upper, 1001)
     table = certificate_table(L, rho, l, lams)
     rates = table["rate_r"]
     best = 0 if math.isnan(rates[0]) else int(np.nanargmin(rates))

@@ -281,10 +281,21 @@ def _get(d: dict, key: str, default):
     return default if value is None else value
 
 
-def _number(d: dict, key: str, default, where: str = "") -> float:
-    """d[key] as a finite float (default when absent or null); n and seed,
-    the integer fields, are checked where they are used."""
-    return require_real(_get(d, key, default), where + key)
+def _number(d: dict, key: str, default, where: str = "", sign: str = "") -> float:
+    """d[key] as a finite float (default when absent or null), positive or
+    nonnegative when sign says so; n and seed, the integer fields, are
+    checked where they are used."""
+    return require_real(_get(d, key, default), where + key, sign)
+
+
+def _shift_constant(d: dict, key: str) -> float:
+    """d[key], the shift Lipschitz constant of a moving set (default 0), whose
+    double, the set's parametric constant l, must be finite too."""
+    value = _number(d, key, 0.0)
+    if not math.isfinite(2.0 * value):
+        raise ValidationError(f"{key} must be at most half the float range in magnitude, "
+                              f"got {value!r}")
+    return value
 
 
 def _check_fields(d: dict, fields, where: str) -> None:
@@ -305,10 +316,15 @@ def _set_from_descriptor(n: int, doc: dict, key: str):
         raise ValidationError(f"{where}type must be 'box' or 'ball', got {kind!r}")
     _check_fields(d, _SET_FIELDS[kind], where)
     if kind == "box":
-        return BoxSet(as_array(_get(d, "lo", -np.inf), where + "lo", n, fill=True, allow_inf=True),
-                      as_array(_get(d, "hi", np.inf), where + "hi", n, fill=True, allow_inf=True))
+        lo = as_array(_get(d, "lo", -np.inf), where + "lo", n, fill=True, allow_inf=True)
+        hi = as_array(_get(d, "hi", np.inf), where + "hi", n, fill=True, allow_inf=True)
+        if np.any(lo > hi):
+            i = int(np.argmax(lo > hi))
+            raise ValidationError(f"{where}lo exceeds {where}hi at index {i}: "
+                                  f"{float(lo[i])!r} > {float(hi[i])!r}")
+        return BoxSet(lo, hi)
     center = as_array(_get(d, "center", 0.0), where + "center", n, fill=True)
-    return BallSet(center, _number(d, "radius", 1.0, where=where))
+    return BallSet(center, _number(d, "radius", 1.0, where=where, sign="positive"))
 
 
 def _scaled(scale: float, offset: Array) -> Callable[[Array], Array]:
@@ -409,17 +425,15 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
         return make_l2_example(n, _number(doc, "alpha", 2.0))
 
     if family == "affine":
-        return make_affine_qvi(
-            n,
-            seed=_get(doc, "seed", 0),
-            rho_target=_number(doc, "rho", 1.0),
-            L_target=_number(doc, "L", 1.0),
-            beta=_number(doc, "beta", 0.0),
-        )
+        rho, L = _number(doc, "rho", 1.0, sign="positive"), _number(doc, "L", 1.0, sign="positive")
+        if rho > L:
+            raise ValidationError(f"rho exceeds L (rho={rho!r}, L={L!r})")
+        return make_affine_qvi(n, seed=_get(doc, "seed", 0), rho_target=rho, L_target=L,
+                               beta=_shift_constant(doc, "beta"))
 
     if family == "moving_set":
         base = _set_from_descriptor(n, doc, "base_set")
-        scale = _number(doc, "shift_scale", 0.0)
+        scale = _shift_constant(doc, "shift_scale")
         offset = as_array(_get(doc, "shift_offset", 0.0), "shift_offset", n, fill=True)
         constraint = moving_set(_scaled(scale, offset), abs(scale), base.project)
         name = f"moving_set(n={n}, scale={scale})"

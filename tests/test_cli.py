@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qvisolve import cli, csvio, problems
-from qvisolve.certify import Certificate, ProblemConstants, full_certificate
+from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.cli import main
 from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
 from qvisolve.csvio import read_compare_csv, read_flow_csv, read_sweep_csv, read_trace_csv
@@ -38,16 +38,16 @@ def test_certify_stdout_json(capsys):
     assert doc["theta"] == pytest.approx(1.0433981132056604, rel=1e-15)
     assert doc["discrete_ok"] is False
     cert = full_certificate(ProblemConstants(L=3.0, rho=1.0, l=0.1, lam=0.1))
-    assert Certificate.from_dict(doc) == cert
+    assert doc == cert.to_dict()
 
 
-def test_certify_json_with_beta_round_trips(capsys):
+def test_certify_json_with_beta_matches_the_certificate(capsys):
     code, out, _ = run(capsys, ["certify", "--L", "3", "--rho", "1", "--l", "0.1",
                                 "--lambda", "0.1", "--beta", "0.2"])
     assert code == 0
     cert = full_certificate(ProblemConstants(L=3.0, rho=1.0, l=0.1, lam=0.1, beta=0.2))
     assert cert.moving_rhs is not None
-    assert Certificate.from_dict(json.loads(out)) == cert
+    assert json.loads(out) == cert.to_dict()
 
 
 def test_certify_trivial_theta(capsys):
@@ -248,11 +248,32 @@ BOX2 = {"family": "single_set_vi", "n": 2, "set": {"type": "box"}}
     ({"family": "moving_set", "n": 2, "base_set": {"type": "box", "low": 0.5}},
      "base_set.low: unknown field"),
     ({"family": "single_set_vi", "n": 2, "set": []}, "set must be an object, got []"),
+    # each message names the descriptor key, not the builder's parameter
+    ({"family": "affine", "n": 2, "rho": 3, "L": 1}, "rho exceeds L (rho=3.0, L=1.0)"),
+    ({"family": "affine", "n": 2, "rho": -1}, "rho must be positive"),
+    ({"family": "affine", "n": 2, "L": 0}, "L must be positive"),
+    # 2*beta, the set's constant l, overflows
+    ({"family": "affine", "n": 2, "beta": 1e308}, "beta must be at most half"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "box"}, "shift_scale": 1e308},
+     "shift_scale must be at most half"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "box"}, "shift_scale": -1e308},
+     "shift_scale must be at most half"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "ball", "radius": -1}},
+     "set.radius must be positive"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "ball", "radius": 0}},
+     "base_set.radius must be positive"),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "box", "lo": [0, 2], "hi": 1}},
+     "set.lo exceeds set.hi at index 1"),
+    ({"family": "moving_set", "n": 2, "base_set": {"type": "box", "lo": 1, "hi": [2, 0]}},
+     "base_set.lo exceeds base_set.hi at index 1"),
 ], ids=["bool-n", "string-alpha", "string-radius", "nan-matrix", "inf-matrix",
         "overflowing-matrix", "nan-offset", "inf-shift-offset", "negative-seed", "skew-rho",
         "identity-L", "negative-rho", "nan-ball-center", "nan-base-ball-center", "float-n",
         "inf-alpha", "float-seed", "string-box-bound", "set-not-object", "unknown-set-type",
-        "unknown-operator", "unknown-field", "set-empty-list"])
+        "unknown-operator", "unknown-field", "set-empty-list", "affine-rho-above-L",
+        "affine-negative-rho", "affine-zero-L", "affine-huge-beta", "huge-shift-scale",
+        "huge-negative-shift-scale", "negative-radius", "zero-base-radius", "box-lo-above-hi",
+        "base-box-lo-above-hi"])
 def test_solve_rejects_bad_descriptor_field(capsys, descriptor, field):
     code, out, err = run(capsys, ["solve", "--problem", json.dumps(descriptor),
                                   "--x0", "zeros", "--lambda", "0.1"])

@@ -4,7 +4,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from qvisolve import (
     ConstraintSpec,
+    NumericFailure,
     QviProblem,
     SolverConfig,
     ValidationError,
@@ -568,6 +571,78 @@ def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
     n = descriptor["n"]
     with pytest.raises(ValidationError, match=f"^n = {n} gives arrays of .* the limit of 8$"):
         load_problem(descriptor)
+
+
+# ------------------------------------------------------- generated descriptors
+
+# JSON values of every kind: scalars (numbers at the float range's ends and
+# beyond it too), strings, and lists and objects nested in each other
+_numbers = st.one_of(st.floats(-3.0, 3.0), st.integers(-2, 4),
+                     st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 10 ** 400]))
+_junk = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), _numbers,
+              st.sampled_from(["", "identity", "box", "ball", "1.0"]), st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=5)
+_vectors = st.lists(_numbers, min_size=1, max_size=3)
+
+
+def _either(plausible):
+    """A value that suits the field or, one time in eight, any JSON value."""
+    return st.integers(0, 7).flatmap(lambda i: _junk if i == 0 else plausible)
+
+
+def _object(required, optional):
+    """An object with the required keys, some of the optional ones and, one
+    time in eight, an unknown key."""
+    return st.tuples(st.fixed_dictionaries(required, optional=optional),
+                     st.integers(0, 7), _junk).map(
+        lambda t: {**t[0], "unknown": t[2]} if t[1] == 0 else t[0])
+
+
+_sets = st.one_of(
+    _object({"type": _either(st.just("box"))},
+            {"lo": _either(_numbers | _vectors), "hi": _either(_numbers | _vectors)}),
+    _object({"type": _either(st.just("ball"))},
+            {"center": _either(_numbers | _vectors), "radius": _either(_numbers)}))
+_operators = _either(st.just("identity") | _object({}, {
+    "matrix": _either(st.lists(st.lists(_numbers, min_size=1, max_size=3),
+                               min_size=1, max_size=3)),
+    "offset": _either(_numbers | _vectors), "L": _either(_numbers), "rho": _either(_numbers)}))
+_FIELDS = {
+    "alpha": _either(_numbers), "seed": _either(st.integers(-1, 3)),
+    "rho": _either(_numbers), "L": _either(_numbers), "beta": _either(_numbers),
+    "operator": _operators, "shift_scale": _either(_numbers),
+    "shift_offset": _either(_numbers | _vectors), "known_solution": _either(_vectors),
+}
+# every family with its own fields, its set always and the others at times
+# (the size cap is patched to 16 entries, so n = 5 passes only for l2_example)
+_descriptors = st.one_of(*[
+    _object({"family": _either(st.just(family)), "n": _either(st.integers(1, 5)),
+             **{key: _either(_sets) for key in ("set", "base_set") if key in keys}},
+            {key: _FIELDS[key] for key in keys if key in _FIELDS})
+    for family, keys in problems._FAMILY_FIELDS.items()
+])
+# the builders' parameter names, which a descriptor does not have
+_BUILDER_NAMES = re.compile("lip_l|rho_target|L_target|ball radius|box lo")
+
+
+@given(_descriptors)
+def test_descriptor_loads_and_solves_or_raises_naming_its_field(doc):
+    # whatever the descriptor, load_problem and a short solve give a result,
+    # a ValidationError or a NumericFailure: no other exception and no
+    # RuntimeWarning, and an error names the descriptor's own keys. (The
+    # function-scoped monkeypatch fixture would fail hypothesis's health check.)
+    with mock.patch.object(problems, "MAX_DESCRIPTOR_ENTRIES", 16), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            problem = load_problem(doc)
+            solve(problem, np.zeros(problem.dim), SolverConfig(lam=0.1, max_iter=5))
+        except (ValidationError, NumericFailure) as exc:
+            assert not _BUILDER_NAMES.search(str(exc)), str(exc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # Descriptor problems whose oracles are elementwise: the moving_set shift
