@@ -21,18 +21,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .certify import ProblemConstants, certificate_table, constant_errors, full_certificate
-from .core import VARIANTS, NumericFailure, ValidationError, as_vector
+from .core import STATUS_NUMERIC_FAILURE, VARIANTS, NumericFailure, ValidationError, as_array
 from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_csv,
                     sweep_to_csv, trace_to_csv, write_lines)
 from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
 from .dynamics import SCHEMES, AlphaSchedule, FlowConfig, integrate
 from .problems import load_problem, read_json_object
-from .solvers import STATUS_NUMERIC_FAILURE, SolverConfig, solve
+from .solvers import SolverConfig, solve
 
 # the most cells one sweep may have (and so the largest 'a:b:N' count); a
 # million cells write about 240 MB of CSV
@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
     # validation-error path (exit 1) instead
     def error(self, message):
         raise ValidationError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse drops a '--' given as an option's value (--x0=--) and stores []
+        parsed, extras = super().parse_known_args(args, namespace)
+        if [] in vars(parsed).values():
+            self.error("an option's value may not be '--'")
+        return parsed, extras
 
 
 def _floats(spec: str, name: str, sep: str = ",", count: Optional[int] = None) -> List[float]:
@@ -65,7 +72,7 @@ def _parse_x0(spec: str, dim: int) -> np.ndarray:
         # 3**k overflows to inf for k > 646, which gives the intended 0.0
         with np.errstate(over="ignore"):
             return 0.5 / 3.0 ** np.arange(dim)
-    return as_vector(_floats(spec, "x0"), dim, name="x0")
+    return as_array(_floats(spec, "x0"), "x0", dim)
 
 
 def _parse_grid(spec: str, name: str) -> List[float]:
@@ -78,7 +85,8 @@ def _parse_grid(spec: str, name: str) -> List[float]:
     if count > MAX_SWEEP_CELLS:
         raise ValidationError(f"{name}: grid count {int(count)} exceeds the limit of "
                               f"{MAX_SWEEP_CELLS} sweep cells")
-    return [float(v) for v in np.linspace(start, stop, int(count))]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf span gives NaN error cells
+        return [float(v) for v in np.linspace(start, stop, int(count))]
 
 
 def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
@@ -90,11 +98,6 @@ def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
     return AlphaSchedule(times, values)
 
 
-def _out(args) -> Union[str, IO[str]]:
-    """Where a command writes: the --output path, else stdout."""
-    return sys.stdout if args.output is None else args.output
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -103,9 +106,9 @@ def cmd_certify(args) -> int:
     doc = full_certificate(ProblemConstants(
         L=args.L, rho=args.rho, l=args.l, lam=args.lam, beta=args.beta)).to_dict()
     if args.format == "json":
-        write_lines(_out(args), [json.dumps(doc, indent=2)])
+        write_lines(args.output, [json.dumps(doc, indent=2)])
     else:
-        certificate_to_csv(doc, _out(args))
+        certificate_to_csv(doc, args.output)
     return 0
 
 
@@ -115,7 +118,7 @@ def cmd_solve(args) -> int:
     config = SolverConfig(lam=args.lam, max_iter=args.max_iter,
                           tol=args.tol, variant=args.variant)
     trace = solve(problem, x0, config)
-    trace_to_csv(trace, _out(args))
+    trace_to_csv(trace, args.output)
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 
 
@@ -125,7 +128,7 @@ def cmd_flow(args) -> int:
     config = FlowConfig(lam=args.lam, h=args.h, t_end=args.t_end,
                         scheme=args.scheme, alpha=_parse_alpha(args.alpha))
     trace = integrate(problem, x0, config, keep_states=args.coords)
-    flow_to_csv(trace, _out(args))
+    flow_to_csv(trace, args.output)
     return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
 
 
@@ -139,7 +142,7 @@ def cmd_compare(args) -> int:
     traces = [solve(problem, x0, SolverConfig(lam=args.lam, max_iter=args.max_iter,
                                               tol=args.tol, variant=variant))
               for variant in variants]
-    compare_to_csv(traces, _out(args))
+    compare_to_csv(traces, args.output)
     return 2 if any(t.status == STATUS_NUMERIC_FAILURE for t in traces) else 0
 
 
@@ -199,7 +202,7 @@ def cmd_sweep(args) -> int:
             status[i], rate = outcomes[lam]
             rates.append(np.nan if rate is None else rate)
         columns["empirical_rate"] = np.array(rates, dtype=float)
-    sweep_to_csv(_out(args), args.L, args.rho,
+    sweep_to_csv(args.output, args.L, args.rho,
                  {"lambda": lam_grid, "l": l_grid, "beta": beta_grid}, columns, valid, status)
     return 0
 
@@ -215,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add_output(p):
-        p.add_argument("--output", "-o", help="output path (default: stdout)")
+        p.add_argument("--output", "-o", default=sys.stdout, help="output path (default: stdout)")
 
     p = sub.add_parser("certify", help="evaluate the constants and condition flags")
     p.add_argument("--L", type=float, required=True)
@@ -316,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             raise ValidationError("no command given (try --help)")
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an --output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericFailure as exc:

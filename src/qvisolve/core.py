@@ -30,7 +30,7 @@ class ValidationError(ValueError):
 
 
 class NumericFailure(ArithmeticError):
-    """An oracle produced NaN/Inf, or an iteration diverged."""
+    """An oracle produced NaN/Inf, or an iteration diverged (see `require_bounded`)."""
 
 
 _FLOAT = np.dtype(float)
@@ -100,11 +100,6 @@ def as_array(values, name: str, dim: Optional[int] = None, *, square: bool = Fal
     return a
 
 
-def as_vector(values, dim: Optional[int] = None, name: str = "x") -> Array:
-    """`as_array`'s vector case, the one every solve and flow entry point runs."""
-    return as_array(values, name, dim)
-
-
 def set_readonly(obj, **arrays: Array) -> None:
     """Store a read-only copy of each array as that field of frozen dataclass obj."""
     for field, a in arrays.items():
@@ -128,6 +123,29 @@ def require_finite(v: Array, what: str) -> Array:
     if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
         raise NumericFailure(f"{what} is not finite")
     return v
+
+
+#: an iterate whose norm exceeds this many times max(1, ||x0||) has diverged
+DIVERGENCE_LIMIT = 1e12
+#: the status of a solve or flow that a NumericFailure ended
+STATUS_NUMERIC_FAILURE = "numeric_failure"
+
+
+def divergence_limit(x0: Array) -> float:
+    """The norm beyond which an iterate started at x0 has diverged: relative
+    to the start, so that a valid start far from the origin is not itself a
+    divergence. Infinite when ||x0|| overflows."""
+    return DIVERGENCE_LIMIT * max(1.0, norm(x0))
+
+
+def require_bounded(x: Array, limit: float, what: str) -> Array:
+    """x, if ||x|| <= limit and x is finite (NaN and Inf entries count under
+    an infinite limit too), else a NumericFailure naming what, the norm and
+    the limit. The dot product can overflow, as in `require_finite`."""
+    r = norm(x)
+    if not r <= limit or r == math.inf and not np.isfinite(x).all():
+        raise NumericFailure(f"{what} diverged: norm {r:g}, limit {limit:g}")
+    return x
 
 
 def as_number(value, name: str) -> float:
@@ -164,10 +182,13 @@ def require_nonnegative(value, name: str) -> float:
     return require_real(value, name, "nonnegative")
 
 
-def require_count(value, name: str) -> None:
-    """Reject all but a positive int; a bool too, although it is an int subclass."""
-    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+def require_count(value, name: str, least: int = 1) -> int:
+    """value as an int >= least, 1 (positive) or 0 (non-negative): any Integral,
+    numpy's too, but a bool (np.bool_ is no Integral); else a ValidationError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
+        kind = "positive" if least else "non-negative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def oracle_result(value, dim: int, what: str) -> Array:
@@ -250,7 +271,7 @@ class QviProblem:
     name: str = ""
 
     def __post_init__(self):
-        require_count(self.dim, "dim")
+        object.__setattr__(self, "dim", require_count(self.dim, "dim"))
         if self.known_solution is not None:
             set_readonly(self, known_solution=as_array(self.known_solution, "known_solution",
                                                        self.dim))
@@ -263,14 +284,15 @@ class QviProblem:
 @ignore_overflow
 def evaluate_operator(problem: QviProblem, x) -> Array:
     """F(x). Deterministic for fixed x; rejects dimension mismatches."""
-    return require_finite(_operator(problem, as_vector(x, problem.dim)), "operator oracle output")
+    return require_finite(_operator(problem, as_array(x, "x", problem.dim)),
+                          "operator oracle output")
 
 
 @ignore_overflow
 def project(problem: QviProblem, x, z) -> Array:
     """P_{K(x)}(z) via the problem's projection oracle."""
-    x = as_vector(x, problem.dim, name="x")
-    z = as_vector(z, problem.dim, name="z")
+    x = as_array(x, "x", problem.dim)
+    z = as_array(z, "z", problem.dim)
     return require_finite(_project(problem, problem.constraint.at(x), z),
                           "projection oracle output")
 
@@ -279,7 +301,7 @@ def project(problem: QviProblem, x, z) -> Array:
 def natural_residual(problem: QviProblem, x, lam: float) -> float:
     """||x - P_{K(x)}(x - lam*F(x))||; zero exactly at solutions of the QVI."""
     lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
+    x = as_array(x, "x", problem.dim)
     y = forward_backward(problem, problem.constraint.at(x), x, lam)[1]
     return norm(x - require_finite(y, "projection oracle output"))
 
@@ -294,7 +316,7 @@ def tseng_map(problem: QviProblem, x, lam: float) -> Array:
     operator evaluations; F(x) is reused.
     """
     lam = require_positive(lam, "lambda")
-    return require_finite(tseng_field(problem, as_vector(x, problem.dim), lam), "Tseng map")
+    return require_finite(tseng_field(problem, as_array(x, "x", problem.dim), lam), "Tseng map")
 
 
 @ignore_overflow
@@ -311,7 +333,7 @@ def step(problem: QviProblem, x, lam: float, variant: str = "tseng"):
     """
     update = require_variant(variant)
     lam = require_positive(lam, "lambda")
-    x = as_vector(x, problem.dim)
+    x = as_array(x, "x", problem.dim)
     P = problem.constraint.at(x)
     Fx, y = forward_backward(problem, P, x, lam)
     require_finite(y, "projection oracle output")

@@ -21,12 +21,15 @@ import numpy as np
 
 from . import certify
 from .core import (
+    STATUS_NUMERIC_FAILURE,
     Array,
     NumericFailure,
     QviProblem,
     ValidationError,
-    as_vector,
+    as_array,
+    divergence_limit,
     ignore_overflow,
+    require_bounded,
     require_finite,
     require_nonnegative,
     require_positive,
@@ -34,7 +37,6 @@ from .core import (
     tseng_field,
 )
 from .csvio import read_flow_csv  # noqa: F401  (bench/workloads.py imports it from here)
-from .solvers import STATUS_NUMERIC_FAILURE, divergence_limit, diverged
 
 SCHEMES = ("euler", "rk4")
 
@@ -193,12 +195,12 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
 
     A non-finite oracle output stops the flow before any oracle is called
     with it: y is checked in tseng_field, each later RK4 stage's argument
-    x + c*h*k here, and each step's result by the divergence guard.
+    x + c*h*k here, and each step's result by `core.require_bounded`.
 
     The trace keeps every state only with keep_states (its CSV then writes
     them); otherwise memory stays a few n-vectors plus the scalar series.
     """
-    x = as_vector(x0, problem.dim, name="x0").copy()
+    x = as_array(x0, "x0", problem.dim).copy()
     h, lam, alpha, nsteps = config.h, config.lam, config.alpha, config.steps
     limit = divergence_limit(x)
     if keep_states and (nsteps + 1) * problem.dim > MAX_STATE_ENTRIES:
@@ -238,10 +240,7 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
                 k3 = stage(t + h / 2.0, x + (h / 2.0) * k2)
                 k4 = stage(t + h, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if diverged(x_next, limit):
-                status = STATUS_NUMERIC_FAILURE
-                break
-            x = x_next
+            x = require_bounded(x_next, limit, "flow state")
             done = i + 1
             record(done, x)
     except NumericFailure:

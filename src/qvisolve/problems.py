@@ -60,7 +60,7 @@ class BoxSet:
     @classmethod
     def from_bounds(cls, n: int, lo, hi) -> "BoxSet":
         """A scalar bound stands for n equal ones; None is unbounded on that side."""
-        require_count(n, "n")
+        n = require_count(n, "n")
         return cls(as_array(-np.inf if lo is None else lo, "box lo", n, fill=True, allow_inf=True),
                    as_array(np.inf if hi is None else hi, "box hi", n, fill=True, allow_inf=True))
 
@@ -111,6 +111,14 @@ class AffineMap:
 # moving sets
 # --------------------------------------------------------------------------
 
+def _shift_constant(value, name: str) -> None:
+    """Reject all but a nonnegative finite Lipschitz constant of a moving
+    set's shift whose double, the set's parametric constant l, is finite."""
+    if not math.isfinite(2.0 * require_nonnegative(value, name)):
+        raise ValidationError(f"{name} must be at most half the float range in magnitude, "
+                              f"got {value!r}")
+
+
 def moving_set(shift: Callable[[Array], Array], shift_lipschitz: float,
                base_projection: Callable[[Array], Array]) -> ConstraintSpec:
     """Moving constraint K(x) = shift(x) + K for a fixed closed convex K, projected
@@ -123,7 +131,7 @@ def moving_set(shift: Callable[[Array], Array], shift_lipschitz: float,
     iterate. Both oracles' output shapes are checked, because a scalar from
     either would broadcast into a result of the right shape.
     """
-    require_nonnegative(shift_lipschitz, "shift_lipschitz")
+    _shift_constant(shift_lipschitz, "shift_lipschitz")
 
     def at(x):
         n = len(x)
@@ -148,7 +156,7 @@ def make_l2_example(n: int, alpha: float = 2.0) -> QviProblem:
     vector, which is exact for every truncation dimension because the
     constraint already pins all tail coordinates to zero.
     """
-    require_count(n, "n")
+    n = require_count(n, "n")
     if not require_real(alpha, "alpha") > 1.0:
         raise ValidationError(f"alpha must exceed 1 (so that rho = alpha - 1 > 0), got {alpha!r}")
 
@@ -195,12 +203,11 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
     is dropped as soon as it has been used, so the build peaks at about four,
     set by the copies inside np.linalg.qr.
     """
-    require_count(n, "n")
-    if isinstance(seed, bool) or not (isinstance(seed, int) and seed >= 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    n = require_count(n, "n")
+    seed = require_count(seed, "seed", least=0)
     if require_positive(rho_target, "rho_target") > require_positive(L_target, "L_target"):
         raise ValidationError(f"rho_target exceeds L_target (rho={rho_target!r}, L={L_target!r})")
-    require_nonnegative(beta, "beta")
+    _shift_constant(beta, "beta")
 
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -233,7 +240,7 @@ def make_affine_qvi(n: int, seed: int, rho_target: float, L_target: float,
 
 def make_moving_box_problem(n: int = 4, shift_scale: float = 0.1) -> QviProblem:
     """Moving box K(x) = shift_scale*x + [-1, 1]^n with F(x) = x; solution 0."""
-    require_count(n, "n")
+    n = require_count(n, "n")
     require_real(shift_scale, "shift_scale")
     return load_problem({"family": "moving_set", "n": n,
                          "base_set": {"type": "box", "lo": -1.0, "hi": 1.0},
@@ -286,16 +293,6 @@ def _number(d: dict, key: str, default, where: str = "", sign: str = "") -> floa
     nonnegative when sign says so; n and seed, the integer fields, are
     checked where they are used."""
     return require_real(_get(d, key, default), where + key, sign)
-
-
-def _shift_constant(d: dict, key: str) -> float:
-    """d[key], the shift Lipschitz constant of a moving set (default 0), whose
-    double, the set's parametric constant l, must be finite too."""
-    value = _number(d, key, 0.0)
-    if not math.isfinite(2.0 * value):
-        raise ValidationError(f"{key} must be at most half the float range in magnitude, "
-                              f"got {value!r}")
-    return value
 
 
 def _check_fields(d: dict, fields, where: str) -> None:
@@ -410,8 +407,7 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     """
     doc = read_json_object(source, "problem") if isinstance(source, (str, Path)) else dict(source)
     family = doc.get("family")
-    n = doc.get("n")
-    require_count(n, "n")
+    n = require_count(doc.get("n"), "n")  # an int, so that n * n cannot wrap
     entries = n if family == "l2_example" else n * n
     if entries > MAX_DESCRIPTOR_ENTRIES:
         raise ValidationError(f"n = {n} gives arrays of {entries} entries, above the limit "
@@ -429,11 +425,12 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
         if rho > L:
             raise ValidationError(f"rho exceeds L (rho={rho!r}, L={L!r})")
         return make_affine_qvi(n, seed=_get(doc, "seed", 0), rho_target=rho, L_target=L,
-                               beta=_shift_constant(doc, "beta"))
+                               beta=_get(doc, "beta", 0.0))
 
     if family == "moving_set":
         base = _set_from_descriptor(n, doc, "base_set")
-        scale = _shift_constant(doc, "shift_scale")
+        scale = _number(doc, "shift_scale", 0.0)
+        _shift_constant(abs(scale), "shift_scale")
         offset = as_array(_get(doc, "shift_offset", 0.0), "shift_offset", n, fill=True)
         constraint = moving_set(_scaled(scale, offset), abs(scale), base.project)
         name = f"moving_set(n={n}, scale={scale})"

@@ -23,14 +23,17 @@ import numpy as np
 
 from . import certify
 from .core import (
+    STATUS_NUMERIC_FAILURE,
     UPDATES,
     Array,
     NumericFailure,
     QviProblem,
-    as_vector,
+    as_array,
+    divergence_limit,
     forward_backward,
     ignore_overflow,
     norm,
+    require_bounded,
     require_count,
     require_finite,
     require_positive,
@@ -40,13 +43,8 @@ from .csvio import read_trace_csv  # noqa: F401  (bench/workloads.py imports it 
 
 logger = logging.getLogger(__name__)
 
-#: an iterate whose norm exceeds this many times max(1, ||x0||) aborts with
-#: numeric_failure
-DIVERGENCE_LIMIT = 1e12
-
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter_reached"
-STATUS_NUMERIC_FAILURE = "numeric_failure"
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class SolverConfig:
     def __post_init__(self):
         require_positive(self.lam, "lambda")
         require_positive(self.tol, "tol")
-        require_count(self.max_iter, "max_iter")
+        object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter"))
         require_variant(self.variant)
 
 
@@ -90,28 +88,11 @@ class IterationTrace:
         """The last record; None if the solve failed before recording one."""
         return self.records[-1] if self.records else None
 
-    def residuals(self) -> Array:
-        return np.array([r.residual for r in self.records])
-
     def dists(self) -> Array:
         return np.array([
             np.nan if r.dist_to_solution is None else r.dist_to_solution
             for r in self.records
         ])
-
-
-def divergence_limit(x0: Array) -> float:
-    """The norm beyond which an iterate started at x0 has diverged: relative
-    to the start, so that a valid start far from the origin is not itself a
-    divergence. Infinite when ||x0|| overflows."""
-    return DIVERGENCE_LIMIT * max(1.0, norm(x0))
-
-
-def diverged(x: Array, limit: float) -> bool:
-    """Whether ||x|| exceeds limit or x is not finite (NaN and Inf entries
-    count under an infinite limit too)."""
-    r = norm(x)
-    return not r <= limit or r == math.inf and not np.isfinite(x).all()
 
 
 def _empirical_rate(records: List[IterationRecord], use_dist: bool) -> Optional[float]:
@@ -139,12 +120,13 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
     this step size; the run proceeds regardless. Deterministic: identical
     inputs give identical traces bit for bit.
 
-    A non-finite oracle output ends the run with numeric_failure before any
-    oracle is called with it: F(x_k) through the projection argument, y_k
-    through the residual before its record is appended, and F(y_k) or the
-    second projection through the next iterate's divergence guard.
+    An iterate beyond `divergence_limit(x0)` ends the run with numeric_failure,
+    and so does a non-finite oracle output, before any oracle is called with
+    it: F(x_k) through the projection argument, y_k through the residual
+    before its record is appended, and F(y_k) or the second projection
+    through the next iterate's `require_bounded`.
     """
-    x = as_vector(x0, problem.dim, name="x0").copy()
+    x = as_array(x0, "x0", problem.dim).copy()
     table = certify.certificate_table(problem.operator.lipschitz_L, problem.operator.strong_rho,
                                       problem.constraint.lip_l, config.lam)
     warning = not table["discrete_ok"]
@@ -176,10 +158,7 @@ def solve(problem: QviProblem, x0, config: SolverConfig) -> IterationTrace:
                 break
             if k == config.max_iter:
                 break
-            x = update(problem, P, x, Fx, y, lam)
-            if diverged(x, limit):
-                status = STATUS_NUMERIC_FAILURE
-                break
+            x = require_bounded(update(problem, P, x, Fx, y, lam), limit, "next iterate")
     except NumericFailure as exc:
         logger.debug("numeric failure at iteration %d: %s", len(records), exc)
         status = STATUS_NUMERIC_FAILURE

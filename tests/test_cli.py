@@ -1,15 +1,21 @@
+import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qvisolve import cli, csvio, problems
+from qvisolve import cli, csvio, dynamics, problems
 from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.cli import main
-from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem
+from qvisolve.core import VARIANTS, ConstraintSpec, OperatorSpec, QviProblem
 from qvisolve.csvio import read_compare_csv, read_flow_csv, read_sweep_csv, read_trace_csv
 from qvisolve.solvers import SolverConfig, solve
 
@@ -557,6 +563,19 @@ def test_sweep_records_per_cell_failures(capsys):
     assert doc["rows"][1]["theta"] is None  # failed cell left empty
 
 
+@pytest.mark.parametrize("grid", ["0.1:inf:1", "0.1:inf:3", "1e308:-1e308:3"])
+def test_sweep_grid_with_an_infinite_span_gives_error_cells(capsys, grid):
+    # np.linspace forms NaN and inf entries here, which warned before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, ["sweep", "--L", "1", "--rho", "1", "--lambda-grid", grid])
+    assert code == 0
+    rows = read_sweep_csv(io.StringIO(out))["rows"]
+    # np.linspace forms no positive finite entry here (NaN even for start)
+    assert len(rows) == int(grid[-1])
+    assert all(row["status"].startswith("error: lambda must be") for row in rows)
+
+
 @pytest.mark.parametrize("values", [
     np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5, -1.5, 5e-324, -5e-324]),
     np.array([math.inf, -math.inf, math.nan, -math.nan, 1e300 * 1e300, 0.1, 0.1]),
@@ -690,6 +709,27 @@ def test_problem_document_errors_name_the_problem(capsys, tmp_path, text, inline
     assert message in err
 
 
+@pytest.mark.parametrize("option", ["--x0", "--problem", "--output", "--lambda", "--variant"])
+def test_double_dash_is_no_option_value(capsys, tmp_path, option):
+    # argparse reads --x0=-- as the value [], which reached the commands
+    argv = ["solve", "--problem", HALFLINE_DESCRIPTOR, "--x0", "2", "--lambda", "0.1"]
+    code, out, err = run(capsys, [*argv, f"{option}=--"])
+    assert (code, out, err) == (1, "", "error: an option's value may not be '--'\n")
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"command": "solve", "problem": HALFLINE_DESCRIPTOR,
+                                       "x0": "2", "lambda": 0.1, option[2:]: "--"}))
+    code, out, err = run(capsys, ["--config", str(config_path)])
+    assert (code, out, err) == (1, "", "error: an option's value may not be '--'\n")
+
+
+@pytest.mark.parametrize("target", [".", "missing/out.csv"])
+def test_output_that_cannot_be_written_exits_1(capsys, tmp_path, target):
+    code, out, err = run(capsys, ["certify", "--L", "3", "--rho", "1", "--lambda", "0.1",
+                                  "-o", str(tmp_path / target)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno") and str(tmp_path / target) in err
+
+
 @pytest.mark.parametrize("x0", [[-0.5, 1.0], "-0.5,1.0"], ids=["list", "text"])
 def test_config_values_may_start_with_a_dash(tmp_path, x0):
     problem = {"family": "single_set_vi", "n": 2, "set": {"type": "box", "lo": -1.0, "hi": 1.0}}
@@ -747,3 +787,129 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------ generated command lines
+
+# Option values: plausible ones, numbers at the float range's ends, of either
+# sign and beyond it, and text that is no number; descriptors of n <= 3.
+# Counts, grid sizes and flow lengths stay small, and the test patches the
+# caps small.
+_EDGES = st.sampled_from(["0", "-0", "-0.0", "nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+                          "5e-324", "-1", "-2.5", "1e12", "1e300"])
+_TEXT = st.one_of(st.sampled_from(["", " ", "abc", "1,2", "1:2", "0x10", "1e", "--", "[]",
+                                   "zeros", "{"]), st.text(max_size=4))
+_POSITIVES = st.sampled_from(["0.1", "0.5", "1", "2", "3"]) | st.floats(1e-3, 10.0).map(repr)
+
+
+def _value(plausible, edges=_EDGES):
+    """Mostly a plausible value; one time in eight an edge value, one time
+    in sixteen bad text."""
+    return st.integers(0, 15).flatmap(
+        lambda i: plausible if i < 13 else edges if i < 15 else _TEXT)
+
+
+_JSON_EDGES = st.sampled_from([0, -1, 0.0, -0.0, 1e308, -1e308, math.nan, math.inf, 5e-324,
+                               10 ** 400, "1", None, True, [1.0], {}])
+_JSON_POSITIVES = st.sampled_from([0.1, 0.5, 1, 2.0, 3.0])
+_JSON = _value(_JSON_POSITIVES, _JSON_EDGES)
+_N = _value(st.integers(1, 3), st.sampled_from([0, -1, 2.0, True, 10 ** 400]))
+_SETS = _value(st.one_of(
+    st.fixed_dictionaries({"type": st.just("box")},
+                          optional={"lo": _value(st.sampled_from([-1.0, 0.0, 1.0]), _JSON_EDGES),
+                                    "hi": _value(st.sampled_from([1.0, 2.0]), _JSON_EDGES)}),
+    st.fixed_dictionaries({"type": st.just("ball")},
+                          optional={"center": _value(st.sampled_from([0.0, 0.5]), _JSON_EDGES),
+                                    "radius": _JSON})), _JSON_EDGES)
+_DESCRIPTORS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("l2_example"), "n": _N},
+                          optional={"alpha": _value(st.just(2.0), _JSON_EDGES)}),
+    st.fixed_dictionaries({"family": st.just("affine"), "n": _N}, optional={
+        "seed": _value(st.integers(0, 3), _JSON_EDGES),
+        "rho": _value(st.sampled_from([0.1, 0.5, 1.0]), _JSON_EDGES),
+        "L": _value(st.sampled_from([1, 2.0, 3.0]), _JSON_EDGES), "beta": _JSON}),
+    st.fixed_dictionaries({"family": st.just("moving_set"), "n": _N, "base_set": _SETS},
+                          optional={"shift_scale": _JSON, "shift_offset": _JSON}),
+    st.fixed_dictionaries({"family": st.just("single_set_vi"), "n": _N, "set": _SETS},
+                          optional={"operator": st.sampled_from(["identity", {"L": 2.0}]),
+                                    "known_solution": _value(st.just([1.0]), _JSON_EDGES)}))
+_PROBLEM = _value(_DESCRIPTORS.map(json.dumps))
+_X0 = _value(st.sampled_from(["zeros", "geometric"])
+             | st.lists(_POSITIVES | _EDGES, min_size=1, max_size=3).map(",".join))
+_NUMBER = _value(_POSITIVES)
+_MAX_ITER = _value(st.integers(1, 30).map(str), st.sampled_from(["0", "-1", "1.5", "1e3"]))
+_GRID = _value(st.lists(_POSITIVES, min_size=1, max_size=4).map(",".join)
+               | st.tuples(_POSITIVES, _POSITIVES | _EDGES,
+                           _value(st.integers(1, 4).map(str))).map(":".join))
+_ALPHA = _value(_POSITIVES | st.sampled_from(["0:1,1:0.5", "0:2,0.5:0,3:1"]))
+_VARIANT = _value(st.sampled_from(VARIANTS))
+_OUTPUT = st.sampled_from(["out.csv", "out.csv", ".", "missing/out.csv"])
+# subcommand -> (its required options, its optional ones) -> their values;
+# a flag's value is None
+_COMMANDS = {
+    "certify": ({"--L": _NUMBER, "--rho": _NUMBER, "--lambda": _NUMBER},
+                {"--l": _NUMBER, "--beta": _NUMBER,
+                 "--format": _value(st.sampled_from(["json", "csv"])), "--output": _OUTPUT}),
+    "solve": ({"--problem": _PROBLEM, "--x0": _X0, "--lambda": _NUMBER},
+              {"--tol": _NUMBER, "--max-iter": _MAX_ITER, "--variant": _VARIANT,
+               "--output": _OUTPUT}),
+    "flow": ({"--problem": _PROBLEM, "--x0": _X0, "--lambda": _NUMBER, "--h": _NUMBER,
+              "--t-end": _NUMBER},
+             {"--scheme": _value(st.sampled_from(["euler", "rk4"])), "--alpha": _ALPHA,
+              "--coords": st.none(), "--output": _OUTPUT}),
+    "compare": ({"--problem": _PROBLEM, "--x0": _X0, "--lambda": _NUMBER},
+                {"--variants": _value(st.lists(st.sampled_from(VARIANTS), min_size=1,
+                                               max_size=3).map(",".join)),
+                 "--tol": _NUMBER, "--max-iter": _MAX_ITER, "--output": _OUTPUT}),
+    "sweep": ({"--L": _NUMBER, "--rho": _NUMBER, "--lambda-grid": _GRID},
+              {"--l": _NUMBER, "--lambda": _NUMBER, "--beta": _NUMBER,
+               "--l-grid": _GRID, "--beta-grid": _GRID, "--problem": _PROBLEM, "--x0": _X0,
+               "--tol": _NUMBER, "--max-iter": _MAX_ITER, "--variant": _VARIANT,
+               "--output": _OUTPUT}),
+}
+_RUNS = st.tuples(
+    st.one_of(*[st.tuples(st.just(command), st.fixed_dictionaries(required, optional=optional))
+                for command, (required, optional) in _COMMANDS.items()]),
+    st.sampled_from(["argv", "argv=", "config", "config-json"]))
+
+
+def _json_value(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+@given(_RUNS)
+def test_main_exits_0_1_or_2(run_spec):
+    # any command line, or the same run as a --config document, exits 0, 1
+    # or 2 with no uncaught exception and no RuntimeWarning. (The
+    # function-scoped tmp_path and monkeypatch fixtures would fail
+    # hypothesis's health check.)
+    (command, options), form = run_spec
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "MAX_SWEEP_CELLS", 12), \
+            mock.patch.object(problems, "MAX_DESCRIPTOR_ENTRIES", 36), \
+            mock.patch.object(dynamics, "MAX_FLOW_STEPS", 200), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if "--output" in options:
+            options = {**options, "--output": os.path.join(tmp, options["--output"])}
+        if form.startswith("config"):
+            # config-json stores each value that is JSON text as the JSON value
+            doc = {"command": command, **{key[2:].replace("-", "_"): True if value is None
+                                          else _json_value(value) if form == "config-json"
+                                          else value for key, value in options.items()}}
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            argv = ["--config", path]
+        else:
+            argv = [command]
+            for key, value in options.items():
+                argv += ([key] if value is None else [f"{key}={value}"] if form == "argv="
+                         else [key, value])
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv

@@ -20,7 +20,8 @@ from qvisolve import (
     tseng_map,
 )
 from qvisolve.certify import ProblemConstants, full_certificate
-from qvisolve.core import as_vector, require_nonnegative, require_positive, require_real
+from qvisolve.core import (as_array, ignore_overflow, require_bounded, require_nonnegative,
+                           require_positive, require_real)
 from qvisolve.dynamics import AlphaSchedule, FlowConfig
 from qvisolve.problems import (AffineMap, BallSet, BoxSet, load_problem, make_affine_qvi,
                                make_l2_example, make_moving_box_problem, moving_set)
@@ -31,17 +32,17 @@ from oracles import assert_finite_arguments, counting_moving_box, poisoned_probl
 
 # ---------------------------------------------------------------- validation
 
-def test_as_vector_rejects_bad_input():
+def test_as_array_rejects_bad_input():
     with pytest.raises(ValidationError):
-        as_vector([[1.0, 2.0]])
+        as_array([[1.0, 2.0]], "x")
     with pytest.raises(ValidationError):
-        as_vector([1.0, 2.0], dim=3)
+        as_array([1.0, 2.0], "x", 3)
     with pytest.raises(ValidationError):
-        as_vector([1.0, np.nan])
+        as_array([1.0, np.nan], "x")
     with pytest.raises(ValidationError):
-        as_vector([1.0, np.inf])
+        as_array([1.0, np.inf], "x")
     with pytest.raises(ValidationError, match="^x: could not convert"):
-        as_vector(["a", 1.0])
+        as_array(["a", 1.0], "x")
 
 
 def _identity(x, z=None):
@@ -221,6 +222,68 @@ def test_problem_rejects_bad_dim_and_solution():
             QviProblem(op, con, dim=dim)
     with pytest.raises(ValidationError):
         QviProblem(op, con, dim=2, known_solution=[1.0])
+
+
+# every place that takes a count (an integer) -> the value it stores or builds
+# from one
+COUNTS = {
+    "QviProblem-dim": lambda v: QviProblem(_OP, _CON, v).dim,
+    "SolverConfig-max_iter": lambda v: SolverConfig(lam=0.1, max_iter=v).max_iter,
+    "make_l2_example-n": lambda v: make_l2_example(v).dim,
+    "make_affine_qvi-n": lambda v: make_affine_qvi(v, 0, 1.0, 2.0, 0.1).dim,
+    "make_moving_box_problem-n": lambda v: make_moving_box_problem(v).dim,
+    "descriptor-n": lambda v: load_problem({**BOX2, "n": v}).dim,
+}
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.int32(2), np.uint8(2)],
+                         ids=["int64", "int32", "uint8"])
+@pytest.mark.parametrize("case", list(COUNTS))
+def test_numpy_integers_are_counts(case, value):
+    stored = COUNTS[case](value)
+    assert type(stored) is int and stored == 2
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.int32(3), np.uint8(3)],
+                         ids=["int64", "int32", "uint8"])
+def test_numpy_integers_are_seeds(value):
+    problem, reference = (make_affine_qvi(3, seed, 1.0, 2.0, 0.1) for seed in (value, 3))
+    assert problem.name == reference.name == "affine_qvi(n=3, seed=3, beta=0.1)"
+    assert np.array_equal(problem.known_solution, reference.known_solution)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, np.float64(3)],
+                         ids=["bool", "np.bool_", "float", "float64"])
+@pytest.mark.parametrize("case", [*COUNTS, "make_affine_qvi-seed"])
+def test_counts_reject_bools_and_floats(case, value):
+    kind = "non-negative" if case.endswith("seed") else "positive"
+    make = COUNTS.get(case, lambda v: make_affine_qvi(2, v, 1.0, 2.0, 0.1))
+    message = f"must be a {kind} integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        make(value)
+
+
+def test_require_bounded_returns_x_within_the_limit():
+    x = np.array([3.0, 4.0])
+    assert require_bounded(x, 5.0, "x") is x
+    assert require_bounded(x, math.inf, "x") is x
+
+
+def test_require_bounded_raises_beyond_the_limit():
+    with pytest.raises(NumericFailure, match=r"^next iterate diverged: norm 5, limit 4\.5$"):
+        require_bounded(np.array([3.0, 4.0]), 4.5, "next iterate")
+    with pytest.raises(NumericFailure, match="^flow state diverged: norm nan, limit 1e\\+12$"):
+        require_bounded(np.array([np.nan, 0.0]), 1e12, "flow state")
+
+
+@ignore_overflow
+def test_require_bounded_under_an_infinite_limit():
+    # only a NaN or Inf entry fails: a finite vector whose norm overflows passes
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericFailure, match="^x diverged: .* limit inf$"):
+            require_bounded(np.array([1.0, bad]), math.inf, "x")
+    x = np.array([1e200, -1e300])
+    assert require_bounded(x, math.inf, "x") is x
 
 
 # ------------------------------------------------------------------ operator

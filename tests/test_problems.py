@@ -170,6 +170,17 @@ def test_moving_set_rejects_negative_shift_constant():
         moving_set(shift=lambda x: x, shift_lipschitz=-0.1, base_projection=lambda z: z)
 
 
+def test_shift_constant_whose_double_overflows_is_named(monkeypatch):
+    # 2 * 1e308, the set's constant l, overflows: each builder names its own
+    # parameter, and the affine one rejects it before building anything
+    monkeypatch.setattr(np.linalg, "qr", None)
+    for make, name in [(lambda: moving_set(lambda x: x, 1e308, lambda z: z), "shift_lipschitz"),
+                       (lambda: make_affine_qvi(2, 0, 1.0, 1.0, beta=1e308), "beta")]:
+        with pytest.raises(ValidationError, match=f"^{name} must be at most half the float "
+                                                  "range in magnitude, got 1e\\+308$"):
+            make()
+
+
 def test_moving_set_rejects_scalar_oracle_output():
     # a scalar would broadcast into a result of the right shape
     box = BoxSet.from_bounds(2, -1.0, 1.0).project
@@ -571,6 +582,13 @@ def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
     n = descriptor["n"]
     with pytest.raises(ValidationError, match=f"^n = {n} gives arrays of .* the limit of 8$"):
         load_problem(descriptor)
+
+
+def test_descriptor_size_cap_takes_numpy_integers():
+    # np.int64(2**32) squared wraps to 0; n is an int before n * n is formed
+    with pytest.raises(ValidationError, match="^n = 4294967296 gives arrays of "
+                                              "18446744073709551616 entries"):
+        load_problem({"family": "affine", "n": np.int64(2**32)})
 
 
 # ------------------------------------------------------- generated descriptors

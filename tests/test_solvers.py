@@ -1,4 +1,5 @@
 import io
+import logging
 import re
 import warnings
 
@@ -144,7 +145,7 @@ def test_moving_set_shift_is_evaluated_once_per_iterate(variant):
     wrapped_trace = solve(wrapped, x0, config)
     assert calls == {"operator": n_operator * k + 1, "projection": n_projection * k + 1}
     assert counts == {"shift": n_projection * k + 1, "base": n_projection * k + 1}
-    assert np.array_equal(wrapped_trace.residuals(), trace.residuals())
+    assert [r.residual for r in wrapped_trace.records] == [r.residual for r in trace.records]
     assert np.array_equal(wrapped_trace.final.x, trace.final.x)
 
 
@@ -261,6 +262,16 @@ def test_solve_divergence_guard(halfline):
     assert 0 < len(trace.records) <= 101
     # the final record is the last iterate within the limit, not the one beyond
     replay_iterates(halfline, [2.0], trace)
+
+
+def test_solve_logs_a_divergence(halfline, caplog):
+    caplog.set_level(logging.DEBUG, logger="qvisolve.solvers")
+    trace = solve(halfline, [2.0], SolverConfig(lam=1e6, max_iter=100))
+    assert trace.status == "numeric_failure"
+    [record] = [r for r in caplog.records if r.getMessage().startswith("numeric failure")]
+    assert record.levelno == logging.DEBUG
+    assert re.fullmatch(f"numeric failure at iteration {len(trace.records)}: next iterate "
+                        "diverged: norm .*, limit 2e\\+12", record.getMessage())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -429,7 +440,7 @@ def test_trace_csv_round_trip(l2_problem, geometric_x0, tmp_path):
     assert data["status"] == trace.status
     assert data["certificate_warning"] == trace.certificate_warning
     assert np.array_equal(data["k"], np.arange(len(trace.records)))
-    assert np.array_equal(data["residual"], trace.residuals())
+    assert np.array_equal(data["residual"], [r.residual for r in trace.records])
     assert np.array_equal(data["dist_to_solution"], trace.dists())
 
 
