@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -85,7 +86,10 @@ def _parse_grid(spec: str, name: str) -> List[float]:
     if count > MAX_SWEEP_CELLS:
         raise ValidationError(f"{name}: grid count {int(count)} exceeds the limit of "
                               f"{MAX_SWEEP_CELLS} sweep cells")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf span gives NaN error cells
+    if math.isfinite(start) and math.isfinite(stop) and not math.isfinite(stop - start):
+        raise ValidationError(f"{name}: the grid's span {start!r} to {stop!r} overflows the "
+                              f"float range")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf endpoint gives NaN error cells
         return [float(v) for v in np.linspace(start, stop, int(count))]
 
 
@@ -172,7 +176,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"sweep: {cells} cells (lambda x l x beta) exceed the limit of "
                               f"{MAX_SWEEP_CELLS}")
 
-    problem = load_problem(args.problem) if args.problem else None
+    problem = None if args.problem is None else load_problem(args.problem)
     x0 = None if problem is None else _parse_x0(args.x0, problem.dim)
 
     errors = constant_errors(args.L, args.rho, lam_grid, l_grid, beta_grid)

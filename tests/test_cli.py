@@ -563,7 +563,7 @@ def test_sweep_records_per_cell_failures(capsys):
     assert doc["rows"][1]["theta"] is None  # failed cell left empty
 
 
-@pytest.mark.parametrize("grid", ["0.1:inf:1", "0.1:inf:3", "1e308:-1e308:3"])
+@pytest.mark.parametrize("grid", ["0.1:inf:1", "0.1:inf:3"])
 def test_sweep_grid_with_an_infinite_span_gives_error_cells(capsys, grid):
     # np.linspace forms NaN and inf entries here, which warned before
     with warnings.catch_warnings():
@@ -574,6 +574,34 @@ def test_sweep_grid_with_an_infinite_span_gives_error_cells(capsys, grid):
     # np.linspace forms no positive finite entry here (NaN even for start)
     assert len(rows) == int(grid[-1])
     assert all(row["status"].startswith("error: lambda must be") for row in rows)
+
+
+@pytest.mark.parametrize("option", ["--lambda-grid", "--l-grid", "--beta-grid"])
+@pytest.mark.parametrize("grid", ["1e308:-1e308:3", "-1e308:1e308:1", "-1.7e308:1.7e308:12"])
+def test_sweep_grid_whose_finite_span_overflows_is_rejected(capsys, option, grid):
+    # np.linspace would give NaN and inf cells for these finite endpoints
+    code, out, err = run(capsys, ["sweep", "--L", "1", "--rho", "1", "--lambda", "0.1",
+                                  f"{option}={grid}"])
+    assert (code, out) == (1, "")
+    assert f"error: {option[2:]}: the grid's span" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["sweep", "--L", "1", "--rho", "1", "--lambda-grid", "0.1", "--problem", ""],
+     {"command": "sweep", "L": 1, "rho": 1, "lambda_grid": "0.1", "problem": ""}),
+    (["solve", "--x0", "zeros", "--lambda", "0.1", "--problem", ""],
+     {"command": "solve", "x0": "zeros", "lambda": 0.1, "problem": ""}),
+], ids=["sweep", "solve"])
+@pytest.mark.parametrize("by_config", [False, True], ids=["argv", "config"])
+def test_empty_problem_names_no_file(capsys, tmp_path, argv, config, by_config):
+    # an empty --problem is a path that is not there, for sweep as for solve
+    if by_config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "problem: file not found" in err
 
 
 @pytest.mark.parametrize("values", [

@@ -85,6 +85,92 @@ def test_l2_parametric_projection_bound():
         assert gap <= 0.1 * np.linalg.norm(x - y) + 1e-12
 
 
+def _dense_l2_operator(alpha, x):
+    """The l2 example's F as one dense formula, the reference for its bits."""
+    return alpha * x + np.abs(np.sin(x))
+
+
+def _l2_projection_reference(x, z):
+    """The l2 example's projection as np.any and np.zeros_like wrote it."""
+    bound = x[0] / 10.0
+    if z[0] >= bound and not np.any(z[1:]):
+        return z.copy()
+    out = np.zeros_like(z)
+    out[0] = bound if z[0] < bound else z[0]
+    return out
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+_l2_heads = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def _l2_points(draw, n):
+    """A vector whose tail is +0.0, -0.0, a mix of both, zero but for one
+    interior entry (the last stays 0, so F scans the tail), or dense."""
+    head = draw(_l2_heads)
+    kind = draw(st.sampled_from(["zero", "negative zero", "mixed zeros", "interior", "dense"]))
+    x = np.zeros(n)
+    if kind == "negative zero":
+        x[1:] = -0.0
+    elif kind == "mixed zeros":
+        x[1:] = np.where(np.arange(n - 1) % 2, -0.0, 0.0)
+    elif kind == "interior" and n > 2:
+        x[draw(st.integers(1, n - 2))] = draw(st.floats().filter(lambda v: v != 0.0))
+    elif kind == "dense":
+        x[1:] = draw(st.floats(-1e3, 1e3))
+        x[1::2] = draw(st.floats())
+    x[0] = head
+    return x
+
+
+def _bits_and_warnings(func, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = func(*args)
+    return out.dtype, out.view(np.uint64).tolist(), [(w.category, str(w.message)) for w in caught]
+
+
+@given(st.sampled_from([7, 8, 9, 4096]), st.floats(1.0, 1e308, exclude_min=True), st.data())
+def test_l2_operator_has_the_dense_formulas_bits(n, alpha, data):
+    # the crossover is patched to 8 for the small n; 4096 runs at the real one
+    # (not the monkeypatch fixture, which trips hypothesis's health check)
+    crossover = 8 if n < 4096 else problems._L2_SUPPORT_MIN_N
+    with mock.patch.object(problems, "_L2_SUPPORT_MIN_N", crossover):
+        func = make_l2_example(n, alpha).operator.func
+    x = data.draw(_l2_points(n))
+    assert _bits_and_warnings(func, x) == _bits_and_warnings(_dense_l2_operator, alpha, x)
+
+
+@given(st.integers(1, 6), st.data())
+def test_l2_projection_has_the_reference_bits(n, data):
+    x = data.draw(_l2_points(n))
+    bound = x[0] / 10.0
+    z = data.draw(_l2_points(n))
+    z[0] = data.draw(st.one_of(st.just(bound), _l2_heads, st.just(abs(bound) + 1.0)))
+    project_l2 = make_l2_example(n).constraint.project
+    assert (_bits_and_warnings(project_l2, x, z)
+            == _bits_and_warnings(_l2_projection_reference, x, z))
+
+
+@pytest.mark.parametrize("n,sine_size", [(problems._L2_SUPPORT_MIN_N - 1,
+                                          problems._L2_SUPPORT_MIN_N - 1),
+                                         (problems._L2_SUPPORT_MIN_N, 1)])
+def test_l2_operator_takes_one_sine_on_a_zero_tail_from_the_crossover(n, sine_size):
+    sizes, sin = [], np.sin
+
+    def counting_sin(x):
+        sizes.append(x.size)
+        return sin(x)
+
+    x = np.zeros(n)
+    x[0] = 0.25
+    func = make_l2_example(n).operator.func
+    with mock.patch.object(np, "sin", counting_sin):
+        func(x)
+    assert sizes == [sine_size]
+
+
 # ------------------------------------------------------------------ box / ball
 
 @given(vec3, vec3)
