@@ -3,14 +3,17 @@
 
 A table is LF-terminated UTF-8: '# ' comment lines with the run metadata, a
 header row, then comma-separated rows; floats print in shortest round-trip form.
+Both directions stream: a writer formats and writes BLOCK lines at a time, and
+a reader parses lines as it reads them, so neither holds a file's whole text.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +22,10 @@ from .core import ValidationError
 Sink = Union[str, Path, IO[str]]
 
 TRACE_HEADER = ["k", "residual", "dist_to_solution"]
+
+# lines a writer formats and writes at once, and rows a numeric reader parses
+# into one array block
+BLOCK = 256
 
 
 def format_float(value) -> str:
@@ -46,26 +53,29 @@ def _column(values: np.ndarray) -> List[str]:
     return cells[inverse].tolist()
 
 
-def write_lines(out: Sink, lines: List[str]) -> None:
-    """Write LF-terminated UTF-8 lines to a path or file object."""
-    text = "\n".join(lines) + "\n"
+def write_lines(out: Sink, lines: Iterable[str]) -> None:
+    """Write LF-terminated UTF-8 lines to a path or file object, one write of
+    BLOCK lines at a time (the path is opened before the first line is made)."""
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+            write_lines(fh, lines)
+        return
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, BLOCK)):
+        block.append("")  # the block's last LF
+        out.write("\n".join(block))
 
 
 def _write_table(out: Sink, comments: List[str], header: Iterable[str], rows: Iterable[str]):
     """'# ' comment lines, the header, then rows already joined with commas."""
-    write_lines(out, [*(f"# {c}" for c in comments), ",".join(header), *rows])
+    write_lines(out, itertools.chain((f"# {c}" for c in comments), [",".join(header)], rows))
 
 
-def _trace_rows(trace, prefix: str = "") -> List[str]:
+def _trace_rows(trace, prefix: str = "") -> Iterator[str]:
     """'k,residual,dist_to_solution' of every record, each after prefix."""
-    return [f"{prefix}{r.k},{format_float(r.residual)},"
+    return (f"{prefix}{r.k},{format_float(r.residual)},"
             f"{'' if r.dist_to_solution is None else format_float(r.dist_to_solution)}"
-            for r in trace.records]
+            for r in trace.records)
 
 
 def trace_to_csv(trace, out: Sink) -> None:
@@ -80,7 +90,7 @@ def compare_to_csv(traces, out: Sink) -> None:
     comments = [f"lambda: {format_float(traces[0].lam)}"]
     comments += [f"{t.variant}: status={t.status}, "
                  f"certificate_warning={_cell(t.certificate_warning)}" for t in traces]
-    rows = [row for t in traces for row in _trace_rows(t, f"{t.variant},")]
+    rows = itertools.chain.from_iterable(_trace_rows(t, f"{t.variant},") for t in traces)
     _write_table(out, comments, ["variant", *TRACE_HEADER], rows)
 
 
@@ -88,14 +98,24 @@ def flow_to_csv(trace, out: Sink) -> None:
     """Columns t,V,envelope (empty without a known solution; an overflowed
     envelope prints as inf), then x0, x1, ... when the flow kept its states."""
     header = ["t", "V", "envelope"]
-    series = [[""] * len(trace.t) if c is None else [format_float(v) for v in c.tolist()]
-              for c in (trace.t, trace.V, trace.envelope)]
-    rows = map(",".join, zip(*series))
-    if trace.keep_states:  # one state at a time, as the rows are joined
+    if trace.keep_states:
         header += [f"x{i}" for i in range(trace.x.shape[1])]
-        rows = (",".join([row, *map(format_float, x.tolist())]) for row, x in zip(rows, trace.x))
     _write_table(out, [f"status: {trace.status}", f"Lambda: {format_float(trace.Lambda)}"],
-                 header, rows)
+                 header, _flow_rows(trace))
+
+
+def _flow_rows(trace) -> Iterator[str]:
+    """The rows of flow_to_csv, formatted one block of BLOCK steps at a time."""
+    for start in range(0, len(trace.t), BLOCK):
+        steps = slice(start, start + BLOCK)
+        series = [[""] * len(trace.t[steps]) if c is None
+                  else [format_float(v) for v in c[steps].tolist()]
+                  for c in (trace.t, trace.V, trace.envelope)]
+        rows = map(",".join, zip(*series))
+        if trace.keep_states:  # one state at a time, as the rows are joined
+            rows = (",".join([row, *map(format_float, x.tolist())])
+                    for row, x in zip(rows, trace.x[steps]))
+        yield from rows
 
 
 def error_status(error: Union[Exception, str]) -> str:
@@ -111,8 +131,10 @@ def sweep_to_csv(out: Sink, L: float, rho: float, axes: dict, table: dict, valid
     indices are valid; empty elsewhere) and its status, under a summary of the
     condition counts."""
     total = len(status)
-    # each axis value is formatted once, each table column once per distinct value
-    columns = list(zip(*itertools.product(*([_cell(v) for v in grid] for grid in axes.values()))))
+    # each axis value is formatted once, each table column once per distinct
+    # value; the axis cells of a row are joined as the row is
+    columns = [map(",".join, itertools.product(*([_cell(v) for v in grid]
+                                                 for grid in axes.values())))]
     for values in table.values():
         column = np.full(total, "", dtype=object)
         column[valid] = _column(values)
@@ -132,32 +154,38 @@ def certificate_to_csv(doc: dict, out: Sink) -> None:
     _write_table(out, [], doc, [",".join(_cell(v) for v in doc.values())])
 
 
+@contextmanager
 def read_csv(source: Sink):
-    """Split a CSV written by this package into (comments, header, rows,
-    numbers): the stripped text of each '#' line, the first other line split on
-    commas (None when absent), every later line, unsplit, and the 1-based file
-    line number of each of those rows. Empty lines are skipped; a file that is
-    not UTF-8 is a ValidationError."""
+    """Read a CSV written by this package as its lines arrive: yields
+    (comments, header, rows). header is the first line that is neither empty
+    nor a comment, split on commas (None when absent); rows iterates over every
+    later such line as (its 1-based line number in the file, the line unsplit);
+    comments gets the stripped text of each '#' line as the reading passes it,
+    so it is complete once rows is. Lines break where str.splitlines() breaks
+    the whole text; text that is not UTF-8 is a ValidationError. A path is
+    opened here and closed on leaving the block, also when the block raises."""
+    comments: List[str] = []
+    with (open(source, encoding="utf-8") if isinstance(source, (str, Path))
+          else nullcontext(source)) as stream:
+        rows = _lines(stream, comments)
+        first = next(rows, None)
+        yield comments, None if first is None else first[1].split(","), rows
+
+
+def _lines(stream: IO[str], comments: List[str]) -> Iterator[Tuple[int, str]]:
+    """(number, line) of each line of stream that is neither empty nor a
+    comment, appending the comments' text to comments as they pass."""
+    number = 0
     try:
-        text = (Path(source).read_text(encoding="utf-8") if isinstance(source, (str, Path))
-                else source.read())
+        for physical in stream:  # ends at an LF; splitlines() also breaks at \r, \x85, ...
+            for line in physical.splitlines():
+                number += 1
+                if line.startswith("#"):
+                    comments.append(line[1:].strip())
+                elif line:
+                    yield number, line
     except UnicodeDecodeError as exc:
         raise ValidationError(f"CSV is not UTF-8 text: {exc}") from None
-    comments: List[str] = []
-    header: Optional[List[str]] = None
-    rows: List[str] = []
-    numbers: List[int] = []
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif header is None:
-            header = line.split(",")
-        else:
-            rows.append(line)
-            numbers.append(number)
-    return comments, header, rows, numbers
 
 
 def comment_meta(comments: List[str]) -> dict:
@@ -180,69 +208,91 @@ def _width_error(number: int, cells: int, width: int) -> ValidationError:
     return ValidationError(f"line {number}: {cells} cells where the header has {width}")
 
 
-def _floats(rows: List[str], numbers: List[int], width: int) -> np.ndarray:
-    """Rows of `width` numeric cells as a (len(rows), width) array; an empty
-    cell is NaN. A row of another width, or with a cell that is not a number,
-    is a ValidationError naming its line."""
-    data = []
-    for row, number in zip(rows, numbers):
-        cells = row.split(",")
-        if len(cells) != width:
-            raise _width_error(number, len(cells), width)
-        try:
-            data.append([np.nan if c == "" else float(c) for c in cells])
-        except ValueError:
-            raise ValidationError(f"line {number}: a cell is not a number: {row!r}") from None
-    return np.array(data, dtype=float).reshape(len(rows), width)
+def _float_blocks(rows: Iterator[Tuple[int, str]],
+                  width: int) -> Iterator[Tuple[List[Tuple[int, str]], np.ndarray]]:
+    """Rows of `width` numeric cells, BLOCK rows at a time: each block of
+    (number, row) pairs with its (len(block), width) array; an empty cell is
+    NaN. A row of another width, or with a cell that is not a number, is a
+    ValidationError naming its line."""
+    while block := list(itertools.islice(rows, BLOCK)):
+        data = []
+        for number, row in block:
+            cells = row.split(",")
+            if len(cells) != width:
+                raise _width_error(number, len(cells), width)
+            try:
+                data.append([np.nan if c == "" else float(c) for c in cells])
+            except ValueError:
+                raise ValidationError(f"line {number}: a cell is not a number: {row!r}") from None
+        yield block, np.array(data, dtype=float)
 
 
-def _trace_columns(rows: List[str], numbers: List[int]) -> dict:
-    """'k,residual,dist_to_solution' lines as one array per column. A k that
-    is not a non-negative integer is a ValidationError naming its line."""
-    data = _floats(rows, numbers, len(TRACE_HEADER))
-    k = data[:, 0]
-    bad = np.flatnonzero(~((k >= 0) & (k < 2.0 ** 63) & (k == np.trunc(k))))  # NaN too
-    if len(bad):
-        i = bad[0]
-        raise ValidationError(f"line {numbers[i]}: k must be a non-negative integer, "
-                              f"got {rows[i].partition(',')[0]!r}")
-    return {"k": k.astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
+def _stack(blocks: List[np.ndarray], width: int) -> np.ndarray:
+    """The arrays of _float_blocks as one (rows, width) array."""
+    return np.concatenate([np.empty((0, width)), *blocks])
+
+
+def _trace_columns(rows: Iterator[Tuple[int, str]]) -> dict:
+    """'k,residual,dist_to_solution' rows as one array per column. A k that
+    is not a non-negative integer is a ValidationError naming its line, once
+    every row has parsed."""
+    blocks, bad_k = [], None
+    for block, data in _float_blocks(rows, len(TRACE_HEADER)):
+        k = data[:, 0]
+        bad = np.flatnonzero(~((k >= 0) & (k < 2.0 ** 63) & (k == np.trunc(k))))  # NaN too
+        if len(bad) and bad_k is None:
+            number, row = block[bad[0]]
+            bad_k = ValidationError(f"line {number}: k must be a non-negative integer, "
+                                    f"got {row.partition(',')[0]!r}")
+        blocks.append(data)
+    if bad_k is not None:
+        raise bad_k
+    data = _stack(blocks, len(TRACE_HEADER))
+    return {"k": data[:, 0].astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
 
 
 def read_trace_csv(source: Sink) -> dict:
     """Parse a trace CSV back into plain arrays plus its comment metadata."""
-    comments, _, rows, numbers = read_csv(source)
+    with read_csv(source) as (comments, _, rows):
+        columns = _trace_columns(rows)
     meta = comment_meta(comments)
     return {"variant": meta.get("variant"),
             "lambda": _meta_number(meta, "lambda"),
             "status": meta.get("status"),
             "certificate_warning": meta.get("certificate_warning") == "true",
-            **_trace_columns(rows, numbers)}
+            **columns}
 
 
 def read_compare_csv(source: Sink) -> dict:
     """Parse a compare CSV into comment metadata plus trace columns per variant."""
-    comments, _, rows, numbers = read_csv(source)
-    groups: dict = {}
-    for row, number in zip(rows, numbers):
-        if row.count(",") != len(TRACE_HEADER):  # the variant, then a trace row
-            raise _width_error(number, row.count(",") + 1, len(TRACE_HEADER) + 1)
-        variant, _, trace_row = row.partition(",")
-        trace_rows, trace_numbers = groups.setdefault(variant, ([], []))
-        trace_rows.append(trace_row)
-        trace_numbers.append(number)
+    variants: dict = {}  # variant -> its index, in order of first appearance
+    labels: List[int] = []  # the variant index of each row
+
+    def trace_rows(rows):
+        for number, row in rows:
+            if row.count(",") != len(TRACE_HEADER):  # the variant, then a trace row
+                raise _width_error(number, row.count(",") + 1, len(TRACE_HEADER) + 1)
+            variant, _, trace_row = row.partition(",")
+            labels.append(variants.setdefault(variant, len(variants)))
+            yield number, trace_row
+
+    with read_csv(source) as (comments, _, rows):
+        columns = _trace_columns(trace_rows(rows))
+    index = np.array(labels, dtype=int)
     return {"meta": comment_meta(comments),
-            "variants": {variant: _trace_columns(*group) for variant, group in groups.items()}}
+            "variants": {variant: {name: column[index == i] for name, column in columns.items()}
+                         for variant, i in variants.items()}}
 
 
 def read_flow_csv(source: Sink) -> dict:
     """Parse a flow CSV into t, V and envelope arrays (and x, the coordinates,
     when present) plus its status and Lambda."""
-    comments, header, rows, numbers = read_csv(source)
-    if header is not None and len(header) < 3:
-        raise ValidationError(f"flow header {','.join(header)!r} lacks t,V,envelope")
+    with read_csv(source) as (comments, header, rows):
+        if header is not None and len(header) < 3:
+            raise ValidationError(f"flow header {','.join(header)!r} lacks t,V,envelope")
+        width = max(len(header or ()), 3)
+        data = _stack([data for _, data in _float_blocks(rows, width)], width)
     meta = comment_meta(comments)
-    data = _floats(rows, numbers, max(len(header or ()), 3))
     out = {"status": meta.get("status"),
            "Lambda": _meta_number(meta, "Lambda"),
            "t": data[:, 0], "V": data[:, 1], "envelope": data[:, 2]}
@@ -273,19 +323,19 @@ def read_sweep_csv(source: Sink) -> dict:
     A sweep repeats its values down each column, so each distinct text of a
     column is parsed once and its value shared by every row that holds it.
     """
-    comments, header, lines, numbers = read_csv(source)
-    header = header or []
-    parsed = [(name, {}) for name in header]  # per column: cell text -> value
-    rows = []
-    for line, number in zip(lines, numbers):
-        cells = line.split(",")
-        if len(cells) != len(parsed):
-            raise _width_error(number, len(cells), len(parsed))
-        row = {}
-        for (name, values), text in zip(parsed, cells):
-            try:
-                row[name] = values[text]
-            except KeyError:
-                row[name] = values[text] = _sweep_cell(name, text)
-        rows.append(row)
+    with read_csv(source) as (comments, header, lines):
+        header = header or []
+        parsed = [(name, {}) for name in header]  # per column: cell text -> value
+        rows = []
+        for number, line in lines:
+            cells = line.split(",")
+            if len(cells) != len(parsed):
+                raise _width_error(number, len(cells), len(parsed))
+            row = {}
+            for (name, values), text in zip(parsed, cells):
+                try:
+                    row[name] = values[text]
+                except KeyError:
+                    row[name] = values[text] = _sweep_cell(name, text)
+            rows.append(row)
     return {"comments": comments, "columns": header, "rows": rows}

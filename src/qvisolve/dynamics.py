@@ -42,7 +42,9 @@ SCHEMES = ("euler", "rk4")
 
 #: the most steps one flow may take: t, V and the envelope are float64 series,
 #: and tracemalloc reads a peak of about 26 B per step (half-line, 1e5 steps;
-#: 41 B with an alpha schedule), so this many peak near 260 MB (410 MB)
+#: 41 B with an alpha schedule), so this many peak near 260 MB (410 MB). Their
+#: CSV is about 50 B per step (500 MB here), which flow_to_csv writes one
+#: block of rows at a time, at about 1 B per step of its own
 MAX_FLOW_STEPS = 10_000_000
 #: the most entries the states of a flow integrated with keep_states may
 #: hold: 800 MB of float64

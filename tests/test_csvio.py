@@ -3,20 +3,24 @@
 import io
 import math
 import struct
+import tempfile
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qvisolve import csvio
+from qvisolve import cli, csvio
 from qvisolve.cli import main
 from qvisolve.core import ValidationError
-from qvisolve.csvio import (read_compare_csv, read_csv, read_flow_csv, read_sweep_csv,
-                            read_trace_csv)
+from qvisolve.csvio import read_compare_csv, read_flow_csv, read_sweep_csv, read_trace_csv
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, ITERATE_CASES, suite_problem
 
 SUBNORMAL = 5e-324
 HALF_TINY = 2.2250738585072014e-308 / 2  # a subnormal with more digits
@@ -39,9 +43,26 @@ def test_cell_text(value, text):
 
 # ------------------------------------------------------------- sweep reader
 
+def whole_text_split(text):
+    """The whole-text splitter the streaming read_csv replaced, kept as the
+    reference: (comments, header, rows, numbers) of text.splitlines()."""
+    comments, header, rows, numbers = [], None, [], []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(line)
+            numbers.append(number)
+    return comments, header, rows, numbers
+
+
 def old_read_sweep_csv(source):
     """The row-by-row parser read_sweep_csv replaced, kept as the reference."""
-    comments, header, lines, _ = read_csv(source)
+    comments, header, lines, _ = whole_text_split(source.read())
     rows = []
     for line in lines:
         row = {}
@@ -127,7 +148,7 @@ def test_sweep_reader_parses_each_distinct_text_once(capsys, monkeypatch):
     monkeypatch.setattr(csvio, "_sweep_cell", counting)
     doc = read_sweep_csv(io.StringIO(text))
     assert len(doc["rows"]) == 4000
-    _, header, lines, _ = read_csv(io.StringIO(text))
+    _, header, lines, _ = whole_text_split(text)
     distinct = [set(column) for column in zip(*(line.split(",") for line in lines))]
     assert len(calls) == len(set(calls)) == sum(map(len, distinct))
     assert len(calls) < 4000 * len(header) / 10
@@ -255,3 +276,224 @@ def test_readers_return_or_raise_a_validation_error(text):
                 reader(io.StringIO(text))
             except ValidationError:
                 pass
+
+
+# ------------------------------------------------------------- block writer
+
+SMALL_BLOCK = 3
+
+
+def whole_text_write_lines(out, lines):
+    """The whole-text writer the block writer replaced, kept as the reference."""
+    text = "\n".join(lines) + "\n"
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+
+
+@contextmanager
+def whole_text_writes():
+    """Every writer, and cmd_certify's JSON, through the whole-text writer."""
+    with mock.patch.object(csvio, "write_lines", whole_text_write_lines), \
+            mock.patch.object(cli, "write_lines", whole_text_write_lines):
+        yield
+
+
+def block_and_whole_text(write):
+    """What write(out) puts in a StringIO through the block writer, with
+    SMALL_BLOCK lines a block, and through the whole-text writer."""
+    with mock.patch.object(csvio, "BLOCK", SMALL_BLOCK):
+        blocks = io.StringIO()
+        write(blocks)
+    with whole_text_writes():
+        whole = io.StringIO()
+        write(whole)
+    return blocks.getvalue(), whole.getvalue()
+
+
+# 0, 1, B - 1, B and B + 1 rows, and one more block
+_row_counts = st.sampled_from([0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                               2 * SMALL_BLOCK + 1])
+_values = st.floats() | st.sampled_from([-0.0, 5e-324, 0.1])
+_optional = st.none() | _values
+
+
+def _series(n, optional=False):
+    return (st.none() if optional else st.nothing()) | st.lists(
+        _values, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
+
+
+@st.composite
+def _traces(draw, variant="tseng"):
+    records = [SimpleNamespace(k=k, residual=draw(_values), dist_to_solution=draw(_optional))
+               for k in range(draw(_row_counts))]
+    return SimpleNamespace(records=records, variant=variant, lam=draw(_values),
+                           status=draw(st.sampled_from(["converged", "numeric_failure"])),
+                           certificate_warning=draw(st.booleans()))
+
+
+@st.composite
+def _flows(draw):
+    n = draw(_row_counts)
+    keep_states = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    x = draw(st.lists(_values, min_size=(n if keep_states else 1) * dim,
+                      max_size=(n if keep_states else 1) * dim))
+    return SimpleNamespace(t=draw(_series(n)), V=draw(_series(n, True)),
+                           envelope=draw(_series(n, True)), Lambda=draw(_values),
+                           status="completed", keep_states=keep_states,
+                           x=np.array(x, dtype=float).reshape(-1, dim))
+
+
+@st.composite
+def _sweeps(draw):
+    n = draw(_row_counts)
+    axes = {"lambda": draw(st.lists(_values, min_size=n, max_size=n)), "l": [0.1],
+            "beta": draw(st.sampled_from([[None], [0.2]]))}
+    ok = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    valid = np.flatnonzero(ok)
+    table = {name: np.array(draw(st.lists(st.booleans(), min_size=len(valid),
+                                          max_size=len(valid))), dtype=bool)
+             for name in ("discrete_ok", "continuous_ok")}
+    table["gamma"] = np.array(draw(st.lists(_values, min_size=len(valid),
+                                            max_size=len(valid))), dtype=float)
+    status = ["ok" if v else "error: l must be >= 0; got -1.0" for v in ok.tolist()]
+    return draw(_values), draw(_values), axes, table, valid, status
+
+
+_writes = st.one_of(
+    _traces().map(lambda trace: lambda out: csvio.trace_to_csv(trace, out)),
+    st.tuples(_traces("tseng"), _traces("extragradient")).map(
+        lambda traces: lambda out: csvio.compare_to_csv(traces, out)),
+    _flows().map(lambda flow: lambda out: csvio.flow_to_csv(flow, out)),
+    _sweeps().map(lambda args: lambda out: csvio.sweep_to_csv(out, *args)),
+    st.dictionaries(st.sampled_from(["gamma", "theta", "ok"]), _optional | st.booleans()).map(
+        lambda doc: lambda out: csvio.certificate_to_csv(doc, out)),
+)
+
+
+@given(_writes)
+def test_block_writer_writes_the_whole_text_bytes(write):
+    blocks, whole = block_and_whole_text(write)
+    assert blocks == whole
+
+
+def test_a_header_only_table_keeps_its_bytes():
+    trace = SimpleNamespace(records=[], variant="tseng", lam=0.1, status="numeric_failure",
+                            certificate_warning=False)
+    blocks, whole = block_and_whole_text(lambda out: csvio.trace_to_csv(trace, out))
+    assert blocks == whole == ("# variant: tseng\n# lambda: 0.1\n# status: numeric_failure\n"
+                               "# certificate_warning: false\nk,residual,dist_to_solution\n")
+
+
+@pytest.mark.parametrize("name", [*GOLDEN, *ITERATE_CASES])
+def test_block_writer_writes_the_golden_commands_bytes(tmp_path, capsys, monkeypatch, name):
+    if name in ITERATE_CASES:  # --problem i is the i-th default-suite problem
+        monkeypatch.setattr(cli, "load_problem", suite_problem)
+    argv = ITERATE_CASES[name] if name in ITERATE_CASES else GOLDEN[name][0]
+    with mock.patch.object(csvio, "BLOCK", SMALL_BLOCK):  # to a path
+        assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+    with whole_text_writes():  # to stdout
+        assert main(argv) == 0
+    assert (tmp_path / "out").read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+# ------------------------------------------------------------- streaming reader
+
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_texts = st.lists(st.sampled_from(BREAKS) | st.sampled_from(["a", "1.5", ",", "#", " ", "é"]),
+                  max_size=40).map("".join)
+
+
+def split_by_read_csv(source):
+    """read_csv's (comments, header, rows, numbers), in whole_text_split's form."""
+    with csvio.read_csv(source) as (comments, header, rows):
+        pairs = list(rows)
+    return (comments, header, [row for _, row in pairs], [number for number, _ in pairs])
+
+
+def assert_lines_as_splitlines(text, path):
+    path.write_bytes(text.encode("utf-8"))
+    want = whole_text_split(text)
+    assert split_by_read_csv(io.StringIO(text)) == want
+    assert split_by_read_csv(path) == want
+    assert split_by_read_csv(str(path)) == want
+
+
+@given(_texts)
+def test_reader_lines_and_numbers_are_those_of_splitlines(text):
+    # the text layer of a path turns \r and \r\n into \n, a StringIO keeps
+    # them: either way the lines are those of text.splitlines()
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_lines_as_splitlines(text, Path(tmp) / "text.csv")
+
+
+@pytest.mark.parametrize("at", [8190, 8191, 8192, 8193, 16383])
+def test_reader_joins_a_crlf_that_straddles_the_read_buffer(tmp_path, at):
+    # TextIOWrapper decodes 8192-byte chunks: put the \r of a \r\n at the end
+    # of one, its \n at the start of the next
+    head = "# c\nt,V,envelope\n"
+    text = head + "9" * (at - len(head)) + "\r\n1,2,3\r\n\r\n4,5,6"
+    assert_lines_as_splitlines(text, tmp_path / "text.csv")
+    assert split_by_read_csv(tmp_path / "text.csv")[3] == [3, 4, 6]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The files csvio opens from here on."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(csvio, "open", recording_open, raising=False)
+    return files
+
+
+def many_rows(text, count):
+    """text with its last data row repeated to give count rows in all."""
+    lines = text.splitlines()
+    return "\n".join(lines + lines[-1:] * (count - 1)) + "\n"
+
+
+@pytest.mark.parametrize("reader, text, bad, line", [
+    (read_trace_csv, many_rows(TRACE, 10), "2,0.25", 11),
+    (read_trace_csv, many_rows(TRACE, 10), "2,x,0.1", 11),
+    # a bad k is reported at its first line, here before a second in a later block
+    (read_trace_csv, many_rows(TRACE, 10) + "2.5,0.1,0.1\n", "1.5,0.25,0.1", 11),
+    (read_compare_csv, many_rows(COMPARE, 10), "tseng,1,0.5", 11),
+    (read_compare_csv, many_rows(COMPARE, 10) + "tseng,2.5,0.1,0.1\n", "tseng,-1,0.5,0.1", 11),
+    (read_flow_csv, many_rows(FLOW, 10), "0.2,0.8", 11),
+    (read_flow_csv, many_rows(FLOW, 10), "0.2,0.8,x", 11),
+    (read_sweep_csv, many_rows(SWEEP, 10), "0.1,0.2", 11),
+])
+def test_reader_names_the_bad_line_past_several_blocks(tmp_path, opened, reader, text, bad, line):
+    # the bad row, third to last, is in the third block of SMALL_BLOCK rows;
+    # read from a path, the file is closed when the reader raises
+    lines = text.splitlines()
+    lines.insert(line - 1, bad)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(csvio, "BLOCK", SMALL_BLOCK):
+        with pytest.raises(ValidationError, match=f"^line {line}: ") as raised:
+            reader(path)
+        assert len(opened) == 1 and opened[0].closed  # while the traceback lives
+        del raised
+        with pytest.raises(ValidationError, match=f"^line {line}: "):
+            reader(io.StringIO(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("reader, text", [
+    (read_trace_csv, TRACE), (read_compare_csv, COMPARE),
+    (read_flow_csv, FLOW), (read_sweep_csv, SWEEP),
+])
+def test_reader_closes_a_file_that_is_not_utf8(tmp_path, opened, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(many_rows(text, 2000).encode("utf-8") + b"# \xff\n")  # past a chunk
+    with pytest.raises(ValidationError, match="^CSV is not UTF-8 text") as raised:
+        reader(path)
+    assert len(opened) == 1 and opened[0].closed  # while the traceback lives
+    del raised

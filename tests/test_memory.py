@@ -4,6 +4,9 @@ flow's t, V and envelope are float64 series of one entry per step. The
 affine builder drops each n x n temporary once it has used it, and a
 descriptor problem without a matrix builds none.
 
+The CSV writers and readers stream: a writer holds one block of rows, and a
+reader its result and one block of rows, not the file's text.
+
 The bound is on memory allocated during the call (tracemalloc, which numpy
 reports its buffers to), so it holds whatever the machine's speed. Keeping
 every iterate, as a trace once did, peaks at about 92 MB here.
@@ -16,6 +19,9 @@ import pytest
 
 from qvisolve import (AlphaSchedule, FlowConfig, SolverConfig, integrate, make_halfline_vi,
                       make_l2_example, solve)
+from qvisolve.cli import main
+from qvisolve.csvio import flow_to_csv, read_flow_csv
+from qvisolve.dynamics import FlowTrace
 from qvisolve.problems import load_problem, make_affine_qvi
 from qvisolve.core import VARIANTS
 
@@ -37,6 +43,14 @@ def peak_bytes(call):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def per_unit(peak_at, sizes, at):
+    """The peaks of peak_at(size) at the two sizes, extrapolated along their
+    line: (its slope, the peak per unit at `at` units)."""
+    (small, large), (p_small, p_large) = sizes, [peak_at(size) for size in sizes]
+    slope = (p_large - p_small) / (large - small)
+    return slope, (p_small + slope * (at - small)) / at
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -80,14 +94,14 @@ def test_flow_series_memory_per_step_is_bounded(alpha):
     # run to t = 100, so the schedule's three pieces are each crossed
     problem = make_halfline_vi()
     integrate(problem, [2.0], FlowConfig(lam=0.1, h=0.1, t_end=1.0, alpha=alpha))  # lazy imports
-    peaks = []
-    for steps in (10_000, 20_000):
+
+    def flow_peak(steps):
         config = FlowConfig(lam=0.1, h=100.0 / steps, t_end=100.0, alpha=alpha)
         peak, trace = peak_bytes(lambda: integrate(problem, [2.0], config))
         assert trace.status == "completed" and len(trace.t) == steps + 1
-        peaks.append(peak)
-    slope = (peaks[1] - peaks[0]) / 10_000
-    per_step = (peaks[0] + slope * 90_000) / 100_000
+        return peak
+
+    slope, per_step = per_unit(flow_peak, (10_000, 20_000), 100_000)
     assert slope < FLOW_SERIES_BOUND[alpha], f"{slope:.1f} B per step"
     assert per_step < FLOW_SERIES_BOUND[alpha], f"{per_step:.1f} B per step at 1e5 steps"
 
@@ -126,3 +140,63 @@ def test_matrix_free_descriptor_load_memory_is_linear(case):
     peak, problem = peak_bytes(lambda: load_problem(doc))
     assert problem.dim == n
     assert peak < 0.1 * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 floats"
+
+
+def flow_trace(steps):
+    """A flow-shaped trace of steps + 1 rows whose cells print 17 digits."""
+    t = np.arange(steps + 1) * (100.0 / steps)
+    return FlowTrace(t=t, x=np.zeros((1, 1)), V=np.exp(-t / 3), envelope=np.exp(-t / 7),
+                     Lambda=-1 / 7, status="completed", keep_states=False)
+
+
+# the CSV bounds are in B per row (or sweep cell) at STREAM_ROWS rows,
+# extrapolated from tables of STREAM_SIZES rows. At these sizes one block of
+# rows is small beside the rest: through 5e3 and 1e4 rows the line predicts
+# 2e5 rows to within 2 B per row on reading a flow (46.6 against 48.7 B) and
+# 20 B per sweep cell (306 against 326 B)
+STREAM_ROWS = 200_000
+STREAM_SIZES = (5_000, 10_000)
+
+
+def test_flow_csv_write_memory_per_step_is_bounded(tmp_path):
+    # one block of rows, about 1 B per step at 2e5 steps. Formatting the whole
+    # t, V and envelope columns and joining the file's text, as the writer
+    # once did, read about 455 B
+    def write_peak(steps):
+        trace = flow_trace(steps)
+        return peak_bytes(lambda: flow_to_csv(trace, tmp_path / "flow.csv"))[0]
+
+    slope, per_step = per_unit(write_peak, STREAM_SIZES, STREAM_ROWS)
+    assert per_step < 8, f"{per_step:.1f} B per step at {STREAM_ROWS} steps ({slope:.1f} slope)"
+
+
+def test_flow_csv_read_memory_per_row_is_bounded(tmp_path):
+    # the returned (rows, 3) float64 array and its blocks while they are
+    # joined: about 49 B per row. Holding the text, its lines and a list of
+    # rows, as the reader once did, read about 369 B
+    def read_peak(steps):
+        flow_to_csv(flow_trace(steps), tmp_path / "flow.csv")
+        peak, doc = peak_bytes(lambda: read_flow_csv(tmp_path / "flow.csv"))
+        assert len(doc["t"]) == steps + 1
+        return peak
+
+    slope, per_row = per_unit(read_peak, STREAM_SIZES, STREAM_ROWS)
+    assert per_row < 64, f"{per_row:.1f} B per row at {STREAM_ROWS} rows ({slope:.1f} slope)"
+
+
+def test_sweep_command_memory_per_cell_is_bounded(tmp_path):
+    # the certificate table, the error cells and the writer's column lists of
+    # shared cell texts: about 325 B per cell at 2e5 cells. A list of every
+    # row and the file's joined text, as the writer once made, read about 1100 B
+    def sweep_peak(cells):
+        argv = ["sweep", "--L", "3", "--rho", "1", "--lambda-grid", f"0.01:0.5:{cells // 100}",
+                "--l-grid", "0:0.3:10", "--beta-grid", "0:0.5:10",
+                "-o", str(tmp_path / "sweep.csv")]
+        peak, code = peak_bytes(lambda: main(argv))
+        assert code == 0
+        return peak
+
+    main(["sweep", "--L", "3", "--rho", "1", "--lambda-grid", "0.1", "-o",
+          str(tmp_path / "sweep.csv")])  # lazy imports
+    slope, per_cell = per_unit(sweep_peak, STREAM_SIZES, STREAM_ROWS)
+    assert per_cell < 400, f"{per_cell:.1f} B per cell at {STREAM_ROWS} cells ({slope:.1f} slope)"
