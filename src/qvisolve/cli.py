@@ -5,7 +5,9 @@ Commands write JSON (certificates) or CSV (everything else) to stdout or
 byte-identical files (floats are printed in their shortest round-trip decimal
 form, comma-separated CSV with a header row, LF endings, UTF-8).
 
-Exit codes: 0 success, 1 validation error, 2 numeric failure.
+Exit codes: 0 success, 1 validation error, 2 numeric failure. A reader of
+stdout that stops early (`| head`) is not an error: the rest of the output is
+dropped and the command keeps its exit code.
 
 A full run configuration can also be supplied as a JSON document via
 --config; it holds "command" plus the long-option names as keys
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -109,14 +112,26 @@ def _parse_alpha(spec: Optional[str]) -> Optional[AlphaSchedule]:
 # subcommands
 # --------------------------------------------------------------------------
 
+def _written(status: int, write, *args) -> int:
+    """Call write(*args), a command's output, and return status, its exit code.
+    When the reader of stdout has stopped early, stdout goes to the null
+    device, where the flush at exit cannot fail, and the status stands."""
+    try:
+        write(*args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
+
+
 def cmd_certify(args) -> int:
     doc = full_certificate(ProblemConstants(
         L=args.L, rho=args.rho, l=args.l, lam=args.lam, beta=args.beta)).to_dict()
     if args.format == "json":
-        write_lines(args.output, [json.dumps(doc, indent=2)])
-    else:
-        certificate_to_csv(doc, args.output)
-    return 0
+        return _written(0, write_lines, args.output, [json.dumps(doc, indent=2)])
+    return _written(0, certificate_to_csv, doc, args.output)
 
 
 def cmd_solve(args) -> int:
@@ -125,8 +140,8 @@ def cmd_solve(args) -> int:
     config = SolverConfig(lam=args.lam, max_iter=args.max_iter,
                           tol=args.tol, variant=args.variant)
     trace = solve(problem, x0, config)
-    trace_to_csv(trace, args.output)
-    return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
+    return _written(2 if trace.status == STATUS_NUMERIC_FAILURE else 0,
+                    trace_to_csv, trace, args.output)
 
 
 def cmd_flow(args) -> int:
@@ -135,8 +150,8 @@ def cmd_flow(args) -> int:
     config = FlowConfig(lam=args.lam, h=args.h, t_end=args.t_end,
                         scheme=args.scheme, alpha=_parse_alpha(args.alpha))
     trace = integrate(problem, x0, config, keep_states=args.coords)
-    flow_to_csv(trace, args.output)
-    return 2 if trace.status == STATUS_NUMERIC_FAILURE else 0
+    return _written(2 if trace.status == STATUS_NUMERIC_FAILURE else 0,
+                    flow_to_csv, trace, args.output)
 
 
 def cmd_compare(args) -> int:
@@ -149,8 +164,8 @@ def cmd_compare(args) -> int:
     traces = [solve(problem, x0, SolverConfig(lam=args.lam, max_iter=args.max_iter,
                                               tol=args.tol, variant=variant))
               for variant in variants]
-    compare_to_csv(traces, args.output)
-    return 2 if any(t.status == STATUS_NUMERIC_FAILURE for t in traces) else 0
+    return _written(2 if any(t.status == STATUS_NUMERIC_FAILURE for t in traces) else 0,
+                    compare_to_csv, traces, args.output)
 
 
 SWEEP_COLUMNS = (
@@ -209,9 +224,8 @@ def cmd_sweep(args) -> int:
             status[i], rate = outcomes[lam]
             rates.append(np.nan if rate is None else rate)
         columns["empirical_rate"] = np.array(rates, dtype=float)
-    sweep_to_csv(args.output, args.L, args.rho,
-                 {"lambda": lam_grid, "l": l_grid, "beta": beta_grid}, columns, valid, status)
-    return 0
+    return _written(0, sweep_to_csv, args.output, args.L, args.rho,
+                    {"lambda": lam_grid, "l": l_grid, "beta": beta_grid}, columns, valid, status)
 
 
 # --------------------------------------------------------------------------

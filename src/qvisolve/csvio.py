@@ -3,8 +3,9 @@
 
 A table is LF-terminated UTF-8: '# ' comment lines with the run metadata, a
 header row, then comma-separated rows; floats print in shortest round-trip form.
-Both directions stream: a writer formats and writes BLOCK lines at a time, and
-a reader parses lines as it reads them, so neither holds a file's whole text.
+Both directions stream: a writer joins and writes BLOCK lines at a time, and
+a reader splits CHUNK characters into lines at a time, so neither holds a
+file's whole text.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ Sink = Union[str, Path, IO[str]]
 
 TRACE_HEADER = ["k", "residual", "dist_to_solution"]
 
-# lines a writer formats and writes at once, and rows a numeric reader parses
-# into one array block
+# lines a writer joins and writes at once
 BLOCK = 256
+# characters a reader reads at once
+CHUNK = 1 << 16
+# the characters at which str.splitlines() breaks a line
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def format_float(value) -> str:
@@ -98,24 +102,14 @@ def flow_to_csv(trace, out: Sink) -> None:
     """Columns t,V,envelope (empty without a known solution; an overflowed
     envelope prints as inf), then x0, x1, ... when the flow kept its states."""
     header = ["t", "V", "envelope"]
-    if trace.keep_states:
+    series = [[""] * len(trace.t) if c is None else [format_float(v) for v in c.tolist()]
+              for c in (trace.t, trace.V, trace.envelope)]
+    rows = map(",".join, zip(*series))
+    if trace.keep_states:  # one state at a time, as the rows are joined
         header += [f"x{i}" for i in range(trace.x.shape[1])]
+        rows = (",".join([row, *map(format_float, x.tolist())]) for row, x in zip(rows, trace.x))
     _write_table(out, [f"status: {trace.status}", f"Lambda: {format_float(trace.Lambda)}"],
-                 header, _flow_rows(trace))
-
-
-def _flow_rows(trace) -> Iterator[str]:
-    """The rows of flow_to_csv, formatted one block of BLOCK steps at a time."""
-    for start in range(0, len(trace.t), BLOCK):
-        steps = slice(start, start + BLOCK)
-        series = [[""] * len(trace.t[steps]) if c is None
-                  else [format_float(v) for v in c[steps].tolist()]
-                  for c in (trace.t, trace.V, trace.envelope)]
-        rows = map(",".join, zip(*series))
-        if trace.keep_states:  # one state at a time, as the rows are joined
-            rows = (",".join([row, *map(format_float, x.tolist())])
-                    for row, x in zip(rows, trace.x[steps]))
-        yield from rows
+                 header, rows)
 
 
 def error_status(error: Union[Exception, str]) -> str:
@@ -174,16 +168,27 @@ def read_csv(source: Sink):
 
 def _lines(stream: IO[str], comments: List[str]) -> Iterator[Tuple[int, str]]:
     """(number, line) of each line of stream that is neither empty nor a
-    comment, appending the comments' text to comments as they pass."""
-    number = 0
+    comment, appending the comments' text to comments as they pass. The text
+    is read CHUNK characters at a time and split with str.splitlines()."""
+    number, rest = 0, ""
     try:
-        for physical in stream:  # ends at an LF; splitlines() also breaks at \r, \x85, ...
-            for line in physical.splitlines():
-                number += 1
+        while True:
+            chunk = stream.read(CHUNK)
+            lines = (rest + chunk).splitlines()
+            end = chunk[-1:]  # "" once the text is read
+            if end == "\r":  # the next chunk may start with the \n of this \r\n
+                rest = lines.pop() + end
+            elif end and end not in _BREAKS:  # the last line goes on in the next chunk
+                rest = lines.pop()
+            else:
+                rest = ""
+            for number, line in enumerate(lines, number + 1):
                 if line.startswith("#"):
                     comments.append(line[1:].strip())
                 elif line:
                     yield number, line
+            if not chunk:
+                return
     except UnicodeDecodeError as exc:
         raise ValidationError(f"CSV is not UTF-8 text: {exc}") from None
 
@@ -208,80 +213,59 @@ def _width_error(number: int, cells: int, width: int) -> ValidationError:
     return ValidationError(f"line {number}: {cells} cells where the header has {width}")
 
 
-def _float_blocks(rows: Iterator[Tuple[int, str]],
-                  width: int) -> Iterator[Tuple[List[Tuple[int, str]], np.ndarray]]:
-    """Rows of `width` numeric cells, BLOCK rows at a time: each block of
-    (number, row) pairs with its (len(block), width) array; an empty cell is
-    NaN. A row of another width, or with a cell that is not a number, is a
-    ValidationError naming its line."""
-    while block := list(itertools.islice(rows, BLOCK)):
-        data = []
-        for number, row in block:
-            cells = row.split(",")
-            if len(cells) != width:
-                raise _width_error(number, len(cells), width)
-            try:
-                data.append([np.nan if c == "" else float(c) for c in cells])
-            except ValueError:
-                raise ValidationError(f"line {number}: a cell is not a number: {row!r}") from None
-        yield block, np.array(data, dtype=float)
+def _floats(rows: Iterable[Tuple[int, str]], width: int) -> np.ndarray:
+    """(number, row) pairs of `width` numeric cells as a (rows, width) array;
+    an empty cell is NaN. A row of another width, or with a cell that is not a
+    number, is a ValidationError naming its line."""
+    data = []
+    for number, row in rows:
+        cells = row.split(",")
+        if len(cells) != width:
+            raise _width_error(number, len(cells), width)
+        try:
+            data.append([np.nan if c == "" else float(c) for c in cells])
+        except ValueError:
+            raise ValidationError(f"line {number}: a cell is not a number: {row!r}") from None
+    return np.array(data, dtype=float).reshape(len(data), width)
 
 
-def _stack(blocks: List[np.ndarray], width: int) -> np.ndarray:
-    """The arrays of _float_blocks as one (rows, width) array."""
-    return np.concatenate([np.empty((0, width)), *blocks])
-
-
-def _trace_columns(rows: Iterator[Tuple[int, str]]) -> dict:
+def _trace_columns(rows: List[Tuple[int, str]]) -> dict:
     """'k,residual,dist_to_solution' rows as one array per column. A k that
-    is not a non-negative integer is a ValidationError naming its line, once
-    every row has parsed."""
-    blocks, bad_k = [], None
-    for block, data in _float_blocks(rows, len(TRACE_HEADER)):
-        k = data[:, 0]
-        bad = np.flatnonzero(~((k >= 0) & (k < 2.0 ** 63) & (k == np.trunc(k))))  # NaN too
-        if len(bad) and bad_k is None:
-            number, row = block[bad[0]]
-            bad_k = ValidationError(f"line {number}: k must be a non-negative integer, "
-                                    f"got {row.partition(',')[0]!r}")
-        blocks.append(data)
-    if bad_k is not None:
-        raise bad_k
-    data = _stack(blocks, len(TRACE_HEADER))
-    return {"k": data[:, 0].astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
+    is not a non-negative integer is a ValidationError naming its line."""
+    data = _floats(rows, len(TRACE_HEADER))
+    k = data[:, 0]
+    bad = np.flatnonzero(~((k >= 0) & (k < 2.0 ** 63) & (k == np.trunc(k))))  # NaN too
+    if len(bad):
+        number, row = rows[bad[0]]
+        raise ValidationError(f"line {number}: k must be a non-negative integer, "
+                              f"got {row.partition(',')[0]!r}")
+    return {"k": k.astype(int), "residual": data[:, 1], "dist_to_solution": data[:, 2]}
 
 
 def read_trace_csv(source: Sink) -> dict:
     """Parse a trace CSV back into plain arrays plus its comment metadata."""
     with read_csv(source) as (comments, _, rows):
-        columns = _trace_columns(rows)
+        rows = list(rows)
     meta = comment_meta(comments)
     return {"variant": meta.get("variant"),
             "lambda": _meta_number(meta, "lambda"),
             "status": meta.get("status"),
             "certificate_warning": meta.get("certificate_warning") == "true",
-            **columns}
+            **_trace_columns(rows)}
 
 
 def read_compare_csv(source: Sink) -> dict:
     """Parse a compare CSV into comment metadata plus trace columns per variant."""
-    variants: dict = {}  # variant -> its index, in order of first appearance
-    labels: List[int] = []  # the variant index of each row
-
-    def trace_rows(rows):
-        for number, row in rows:
-            if row.count(",") != len(TRACE_HEADER):  # the variant, then a trace row
-                raise _width_error(number, row.count(",") + 1, len(TRACE_HEADER) + 1)
-            variant, _, trace_row = row.partition(",")
-            labels.append(variants.setdefault(variant, len(variants)))
-            yield number, trace_row
-
     with read_csv(source) as (comments, _, rows):
-        columns = _trace_columns(trace_rows(rows))
-    index = np.array(labels, dtype=int)
+        rows = list(rows)
+    groups: dict = {}
+    for number, row in rows:
+        if row.count(",") != len(TRACE_HEADER):  # the variant, then a trace row
+            raise _width_error(number, row.count(",") + 1, len(TRACE_HEADER) + 1)
+        variant, _, trace_row = row.partition(",")
+        groups.setdefault(variant, []).append((number, trace_row))
     return {"meta": comment_meta(comments),
-            "variants": {variant: {name: column[index == i] for name, column in columns.items()}
-                         for variant, i in variants.items()}}
+            "variants": {variant: _trace_columns(group) for variant, group in groups.items()}}
 
 
 def read_flow_csv(source: Sink) -> dict:
@@ -290,8 +274,7 @@ def read_flow_csv(source: Sink) -> dict:
     with read_csv(source) as (comments, header, rows):
         if header is not None and len(header) < 3:
             raise ValidationError(f"flow header {','.join(header)!r} lacks t,V,envelope")
-        width = max(len(header or ()), 3)
-        data = _stack([data for _, data in _float_blocks(rows, width)], width)
+        data = _floats(rows, max(len(header or ()), 3))
     meta = comment_meta(comments)
     out = {"status": meta.get("status"),
            "Lambda": _meta_number(meta, "Lambda"),

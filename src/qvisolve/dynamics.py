@@ -44,7 +44,7 @@ SCHEMES = ("euler", "rk4")
 #: and tracemalloc reads a peak of about 26 B per step (half-line, 1e5 steps;
 #: 41 B with an alpha schedule), so this many peak near 260 MB (410 MB). Their
 #: CSV is about 50 B per step (500 MB here), which flow_to_csv writes one
-#: block of rows at a time, at about 1 B per step of its own
+#: block of rows at a time from about 250 B per step of cell texts (2.5 GB)
 MAX_FLOW_STEPS = 10_000_000
 #: the most entries the states of a flow integrated with keep_states may
 #: hold: 800 MB of float64

@@ -3,8 +3,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -815,6 +818,29 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert main(argv + ["-o", str(a)]) == 0
     assert main(argv + ["-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------------------------------ closed stdout
+
+@pytest.mark.parametrize("argv, lines, code", [
+    # 12,006 lines, many blocks: the reader takes the first and closes the pipe
+    (["sweep", "--L", "3", "--rho", "1", "--lambda-grid", "0.01:0.5:120",
+      "--l-grid", "0:0.3:10", "--beta-grid", "0:0.5:10"], 1, 0),
+    # the reader closes the pipe before the first line; tseng diverges at lambda 100
+    (["solve", "--problem", json.dumps({"family": "l2_example", "n": 3}), "--x0", "geometric",
+      "--lambda", "100"], 0, 2),
+])
+def test_a_reader_that_stops_early_is_not_an_error(argv, lines, code):
+    # as `qvisolve ... | head`: no message, and the command's own exit code
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen([sys.executable, "-m", "qvisolve.cli", *argv], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        head = [child.stdout.readline() for _ in range(lines)]
+        child.stdout.close()
+        err = child.stderr.read()
+    assert head == ["# sweep: L=3.0, rho=1.0\n"][:lines]
+    assert (child.returncode, err) == (code, "")
 
 
 # ------------------------------------------------------ generated command lines

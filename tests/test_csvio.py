@@ -402,6 +402,7 @@ def test_block_writer_writes_the_golden_commands_bytes(tmp_path, capsys, monkeyp
 
 # ------------------------------------------------------------- streaming reader
 
+SMALL_CHUNK = 7
 BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _texts = st.lists(st.sampled_from(BREAKS) | st.sampled_from(["a", "1.5", ",", "#", " ", "é"]),
                   max_size=40).map("".join)
@@ -422,11 +423,12 @@ def assert_lines_as_splitlines(text, path):
     assert split_by_read_csv(str(path)) == want
 
 
-@given(_texts)
-def test_reader_lines_and_numbers_are_those_of_splitlines(text):
+@given(_texts, st.integers(1, 5) | st.just(csvio.CHUNK))
+def test_reader_lines_and_numbers_are_those_of_splitlines(text, chunk):
     # the text layer of a path turns \r and \r\n into \n, a StringIO keeps
-    # them: either way the lines are those of text.splitlines()
-    with tempfile.TemporaryDirectory() as tmp:
+    # them: either way, and whichever line breaks end or start a chunk of the
+    # read, the lines are those of text.splitlines()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "CHUNK", chunk):
         assert_lines_as_splitlines(text, Path(tmp) / "text.csv")
 
 
@@ -462,7 +464,7 @@ def many_rows(text, count):
 @pytest.mark.parametrize("reader, text, bad, line", [
     (read_trace_csv, many_rows(TRACE, 10), "2,0.25", 11),
     (read_trace_csv, many_rows(TRACE, 10), "2,x,0.1", 11),
-    # a bad k is reported at its first line, here before a second in a later block
+    # a bad k is reported at its first line, here before a second further on
     (read_trace_csv, many_rows(TRACE, 10) + "2.5,0.1,0.1\n", "1.5,0.25,0.1", 11),
     (read_compare_csv, many_rows(COMPARE, 10), "tseng,1,0.5", 11),
     (read_compare_csv, many_rows(COMPARE, 10) + "tseng,2.5,0.1,0.1\n", "tseng,-1,0.5,0.1", 11),
@@ -470,14 +472,14 @@ def many_rows(text, count):
     (read_flow_csv, many_rows(FLOW, 10), "0.2,0.8,x", 11),
     (read_sweep_csv, many_rows(SWEEP, 10), "0.1,0.2", 11),
 ])
-def test_reader_names_the_bad_line_past_several_blocks(tmp_path, opened, reader, text, bad, line):
-    # the bad row, third to last, is in the third block of SMALL_BLOCK rows;
-    # read from a path, the file is closed when the reader raises
+def test_reader_names_the_bad_line_past_several_chunks(tmp_path, opened, reader, text, bad, line):
+    # the bad row is many chunks of SMALL_CHUNK characters into the file; read
+    # from a path, the file is closed when the reader raises
     lines = text.splitlines()
     lines.insert(line - 1, bad)
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with mock.patch.object(csvio, "BLOCK", SMALL_BLOCK):
+    with mock.patch.object(csvio, "CHUNK", SMALL_CHUNK):
         with pytest.raises(ValidationError, match=f"^line {line}: ") as raised:
             reader(path)
         assert len(opened) == 1 and opened[0].closed  # while the traceback lives
@@ -497,3 +499,28 @@ def test_reader_closes_a_file_that_is_not_utf8(tmp_path, opened, reader, text):
         reader(path)
     assert len(opened) == 1 and opened[0].closed  # while the traceback lives
     del raised
+
+
+# rows enough to put what follows them past the first chunks of a read
+FAR = 20_000
+
+
+@pytest.mark.parametrize("reader, text, error", [
+    # a trace or compare CSV is read whole before it is parsed: a bad lambda
+    # comment wins over an earlier bad row, as does text that is not UTF-8
+    (read_trace_csv, TRACE + "2,x,0.1\n# lambda: abc\n", "^lambda: not a number"),
+    (read_trace_csv, TRACE + "2,x,0.1\n" + "1,0.5,\n" * FAR + "# \udcff\n",
+     "^CSV is not UTF-8 text"),
+    (read_compare_csv, COMPARE + "tseng,x,0.5,0.1\ntseng,1\n", "^line 5: 2 cells"),
+    # flow and sweep rows are checked as they are read: before the comments
+    # and before the text further on
+    (read_flow_csv, FLOW + "0.2,x,0.1\n# Lambda: abc\n", "^line 5: a cell is not a number"),
+    (read_flow_csv, FLOW + "0.2,x,0.1\n" + "0.1,0.9,\n" * FAR + "# \udcff\n",
+     "^line 5: a cell is not a number"),
+    (read_sweep_csv, SWEEP + "0.1\n" + "0.2,0.2,ok\n" * FAR + "# \udcff\n", "^line 5: 1 cells"),
+])
+def test_reader_reports_the_first_of_several_faults(tmp_path, reader, text, error):
+    path = tmp_path / "faults.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff: the byte 0xff
+    with pytest.raises(ValidationError, match=error):
+        reader(path)
