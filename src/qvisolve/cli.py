@@ -257,12 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x0", required=True,
                        help="'zeros', 'geometric', or comma-separated floats")
 
+    def add_solver_args(p, variant=True):
+        p.add_argument("--tol", type=float, default=SolverConfig.tol)
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+        if variant:
+            p.add_argument("--variant", choices=VARIANTS, default=SolverConfig.variant)
+
     p = sub.add_parser("solve", help="run one discrete solve and dump the trace")
     add_problem_args(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--variant", choices=VARIANTS, default="tseng")
+    add_solver_args(p)
     add_output(p)
     p.set_defaults(func=cmd_solve)
 
@@ -271,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, required=True, help="time step")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--scheme", choices=SCHEMES, default="euler")
+    p.add_argument("--scheme", choices=SCHEMES, default=FlowConfig.scheme)
     p.add_argument("--alpha", default=None,
                    help="time scaling: constant ('2.0') or table ('0:1,5:0.5')")
     p.add_argument("--coords", action="store_true", help="include coordinates in the CSV")
@@ -282,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_args(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--variants", default=",".join(VARIANTS))
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
+    add_solver_args(p, variant=False)
     add_output(p)
     p.set_defaults(func=cmd_compare)
 
@@ -300,9 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", default=None,
                    help="optional problem; adds an empirical_rate column per cell")
     p.add_argument("--x0", default="geometric")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--variant", choices=VARIANTS, default="tseng")
+    add_solver_args(p)
     add_output(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -3,9 +3,11 @@
 
 A table is LF-terminated UTF-8: '# ' comment lines with the run metadata, a
 header row, then comma-separated rows; floats print in shortest round-trip form.
-Both directions stream: a writer joins and writes BLOCK lines at a time, and
-a reader splits CHUNK characters into lines at a time, so neither holds a
-file's whole text.
+A reader ends a line at LF (a path is opened with universal newlines, so a
+CRLF or CR file reads as its LF form) and rejects a header that is not its
+table's. Both directions stream: a writer joins and writes BLOCK lines at a
+time, and a reader splits CHUNK characters into lines at a time, so neither
+holds a file's whole text.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from .core import ValidationError
 
 Sink = Union[str, Path, IO[str]]
 
+# the fixed headers of the trace, compare and flow tables (a flow's x0, x1,
+# ... follow its three)
 TRACE_HEADER = ["k", "residual", "dist_to_solution"]
+COMPARE_HEADER = ["variant", *TRACE_HEADER]
+FLOW_HEADER = ["t", "V", "envelope"]
 
 # lines a writer joins and writes at once
 BLOCK = 256
 # characters a reader reads at once
 CHUNK = 1 << 16
-# the characters at which str.splitlines() breaks a line
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def format_float(value) -> str:
@@ -95,18 +99,18 @@ def compare_to_csv(traces, out: Sink) -> None:
     comments += [f"{t.variant}: status={t.status}, "
                  f"certificate_warning={_cell(t.certificate_warning)}" for t in traces]
     rows = itertools.chain.from_iterable(_trace_rows(t, f"{t.variant},") for t in traces)
-    _write_table(out, comments, ["variant", *TRACE_HEADER], rows)
+    _write_table(out, comments, COMPARE_HEADER, rows)
 
 
 def flow_to_csv(trace, out: Sink) -> None:
     """Columns t,V,envelope (empty without a known solution; an overflowed
     envelope prints as inf), then x0, x1, ... when the flow kept its states."""
-    header = ["t", "V", "envelope"]
+    header = FLOW_HEADER
     series = [[""] * len(trace.t) if c is None else [format_float(v) for v in c.tolist()]
               for c in (trace.t, trace.V, trace.envelope)]
     rows = map(",".join, zip(*series))
     if trace.keep_states:  # one state at a time, as the rows are joined
-        header += [f"x{i}" for i in range(trace.x.shape[1])]
+        header = [*header, *(f"x{i}" for i in range(trace.x.shape[1]))]
         rows = (",".join([row, *map(format_float, x.tolist())]) for row, x in zip(rows, trace.x))
     _write_table(out, [f"status: {trace.status}", f"Lambda: {format_float(trace.Lambda)}"],
                  header, rows)
@@ -155,9 +159,11 @@ def read_csv(source: Sink):
     nor a comment, split on commas (None when absent); rows iterates over every
     later such line as (its 1-based line number in the file, the line unsplit);
     comments gets the stripped text of each '#' line as the reading passes it,
-    so it is complete once rows is. Lines break where str.splitlines() breaks
-    the whole text; text that is not UTF-8 is a ValidationError. A path is
-    opened here and closed on leaving the block, also when the block raises."""
+    so it is complete once rows is. A line ends at LF: a path is opened with
+    universal newlines, so CRLF and CR end its lines too, while the text of an
+    open stream is split at LF only. Text that is not UTF-8 is a
+    ValidationError. A path is opened here and closed on leaving the block,
+    also when the block raises."""
     comments: List[str] = []
     with (open(source, encoding="utf-8") if isinstance(source, (str, Path))
           else nullcontext(source)) as stream:
@@ -169,19 +175,13 @@ def read_csv(source: Sink):
 def _lines(stream: IO[str], comments: List[str]) -> Iterator[Tuple[int, str]]:
     """(number, line) of each line of stream that is neither empty nor a
     comment, appending the comments' text to comments as they pass. The text
-    is read CHUNK characters at a time and split with str.splitlines()."""
+    is read CHUNK characters at a time and split at LF."""
     number, rest = 0, ""
     try:
         while True:
             chunk = stream.read(CHUNK)
-            lines = (rest + chunk).splitlines()
-            end = chunk[-1:]  # "" once the text is read
-            if end == "\r":  # the next chunk may start with the \n of this \r\n
-                rest = lines.pop() + end
-            elif end and end not in _BREAKS:  # the last line goes on in the next chunk
-                rest = lines.pop()
-            else:
-                rest = ""
+            lines = (rest + chunk).split("\n")
+            rest = lines.pop() if chunk else ""  # the last line may go on in the next chunk
             for number, line in enumerate(lines, number + 1):
                 if line.startswith("#"):
                     comments.append(line[1:].strip())
@@ -211,6 +211,10 @@ def _meta_number(meta: dict, key: str) -> Optional[float]:
 
 def _width_error(number: int, cells: int, width: int) -> ValidationError:
     return ValidationError(f"line {number}: {cells} cells where the header has {width}")
+
+
+def _header_error(table: str, header: List[str], want: str) -> ValidationError:
+    return ValidationError(f"{table} header {','.join(header)!r} is not {want}")
 
 
 def _floats(rows: Iterable[Tuple[int, str]], width: int) -> np.ndarray:
@@ -244,7 +248,9 @@ def _trace_columns(rows: List[Tuple[int, str]]) -> dict:
 
 def read_trace_csv(source: Sink) -> dict:
     """Parse a trace CSV back into plain arrays plus its comment metadata."""
-    with read_csv(source) as (comments, _, rows):
+    with read_csv(source) as (comments, header, rows):
+        if header not in (None, TRACE_HEADER):
+            raise _header_error("trace", header, ",".join(TRACE_HEADER))
         rows = list(rows)
     meta = comment_meta(comments)
     return {"variant": meta.get("variant"),
@@ -256,7 +262,9 @@ def read_trace_csv(source: Sink) -> dict:
 
 def read_compare_csv(source: Sink) -> dict:
     """Parse a compare CSV into comment metadata plus trace columns per variant."""
-    with read_csv(source) as (comments, _, rows):
+    with read_csv(source) as (comments, header, rows):
+        if header not in (None, COMPARE_HEADER):
+            raise _header_error("compare", header, ",".join(COMPARE_HEADER))
         rows = list(rows)
     groups: dict = {}
     for number, row in rows:
@@ -272,9 +280,10 @@ def read_flow_csv(source: Sink) -> dict:
     """Parse a flow CSV into t, V and envelope arrays (and x, the coordinates,
     when present) plus its status and Lambda."""
     with read_csv(source) as (comments, header, rows):
-        if header is not None and len(header) < 3:
-            raise ValidationError(f"flow header {','.join(header)!r} lacks t,V,envelope")
-        data = _floats(rows, max(len(header or ()), 3))
+        if header is not None and (header[:3] != FLOW_HEADER or
+                                   header[3:] != [f"x{i}" for i in range(len(header) - 3)]):
+            raise _header_error("flow", header, ",".join(FLOW_HEADER) + " then x0, x1, ...")
+        data = _floats(rows, len(header or FLOW_HEADER))
     meta = comment_meta(comments)
     out = {"status": meta.get("status"),
            "Lambda": _meta_number(meta, "Lambda"),
@@ -307,6 +316,8 @@ def read_sweep_csv(source: Sink) -> dict:
     column is parsed once and its value shared by every row that holds it.
     """
     with read_csv(source) as (comments, header, lines):
+        if header is not None and (len(set(header)) < len(header) or header[-1] != "status"):
+            raise _header_error("sweep", header, "unique names ending in status")
         header = header or []
         parsed = [(name, {}) for name in header]  # per column: cell text -> value
         rows = []

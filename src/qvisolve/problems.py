@@ -286,11 +286,9 @@ def default_problem_suite() -> list[QviProblem]:
 
 #: declared L >= (1 - slack) * ||A|| and rho <= lambda_min(sym A) + slack * ||A||
 CONSTANT_SLACK = 1e-9
-#: the most entries a descriptor's arrays may have: n for an l2_example
-#: vector, n*n for a matrix of the other families (800 MB of float64). The
-#: moving_set and single_set_vi families need no matrix unless an
-#: operator.matrix is given, but the n*n cap holds for them unchanged:
-#: relaxing it would admit inputs that are rejected today
+#: the most entries a descriptor's arrays may have (800 MB of float64): n*n
+#: for the matrices of an affine descriptor or an operator.matrix, n for the
+#: vectors of any other
 MAX_DESCRIPTOR_ENTRIES = 100_000_000
 #: the fields a descriptor of each family takes; any other is rejected
 _FAMILY_FIELDS = {
@@ -430,7 +428,9 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
     doc = read_json_object(source, "problem") if isinstance(source, (str, Path)) else dict(source)
     family = doc.get("family")
     n = require_count(doc.get("n"), "n")  # an int, so that n * n cannot wrap
-    entries = n if family == "l2_example" else n * n
+    operator = doc.get("operator")
+    matrix = isinstance(operator, dict) and operator.get("matrix") is not None
+    entries = n * n if family == "affine" or matrix else n
     if entries > MAX_DESCRIPTOR_ENTRIES:
         raise ValidationError(f"n = {n} gives arrays of {entries} entries, above the limit "
                               f"of {MAX_DESCRIPTOR_ENTRIES}")
@@ -460,5 +460,5 @@ def load_problem(source: Union[dict, str, Path]) -> QviProblem:
         base = _set_from_descriptor(n, doc, "set")
         constraint = ConstraintSpec(lambda x, z: base.project(z), 0.0)
         name = f"single_set_vi(n={n})"
-    return QviProblem(_operator_from_descriptor(n, doc.get("operator")), constraint, n,
+    return QviProblem(_operator_from_descriptor(n, operator), constraint, n,
                       known_solution=doc.get("known_solution"), name=name)

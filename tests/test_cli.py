@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from qvisolve.certify import ProblemConstants, full_certificate
 from qvisolve.cli import main
 from qvisolve.core import VARIANTS, ConstraintSpec, OperatorSpec, QviProblem
 from qvisolve.csvio import read_compare_csv, read_flow_csv, read_sweep_csv, read_trace_csv
+from qvisolve.dynamics import FlowConfig
 from qvisolve.solvers import SolverConfig, solve
 
 L2_DESCRIPTOR = json.dumps({"family": "l2_example", "n": 50, "alpha": 2.0})
@@ -207,6 +209,34 @@ def test_overflow_is_a_numeric_failure_without_runtime_warning(capsys, case, com
         code, _, err = run(capsys, argv)
     assert code == 2
     assert "RuntimeWarning" not in err
+
+
+def test_solve_box_moving_set_above_the_square_of_the_size_cap(capsys):
+    # n * n is above problems.MAX_DESCRIPTOR_ENTRIES, but a box moving set
+    # without an operator.matrix holds n-vectors only
+    descriptor = json.dumps({"family": "moving_set", "n": 20001, "shift_scale": 0.1,
+                             "base_set": {"type": "box", "lo": -1.0, "hi": 1.0}})
+    code, out, err = run(capsys, ["solve", "--problem", descriptor, "--x0", "geometric",
+                                  "--lambda", "0.1", "--max-iter", "20"])
+    assert (code, err) == (0, "")
+    assert read_trace_csv(io.StringIO(out))["k"][0] == 0
+
+
+@pytest.mark.parametrize("argv, config, names", [
+    (["solve", "--problem", "p", "--x0", "zeros", "--lambda", "0.1"], SolverConfig,
+     {"max_iter", "tol", "variant"}),
+    (["compare", "--problem", "p", "--x0", "zeros", "--lambda", "0.1"], SolverConfig,
+     {"max_iter", "tol"}),
+    (["sweep", "--L", "1", "--rho", "1"], SolverConfig, {"max_iter", "tol", "variant"}),
+    (["flow", "--problem", "p", "--x0", "zeros", "--lambda", "0.1", "--h", "0.1",
+      "--t-end", "1"], FlowConfig, {"scheme", "alpha"}),
+])
+def test_parsed_defaults_are_the_config_defaults(argv, config, names):
+    args = cli.build_parser().parse_args(argv)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)
+                if f.default is not dataclasses.MISSING and hasattr(args, f.name)}
+    assert set(defaults) == names
+    assert {name: getattr(args, name) for name in names} == defaults
 
 
 def test_solve_geometric_x0_beyond_float_range(capsys):

@@ -45,9 +45,10 @@ def test_cell_text(value, text):
 
 def whole_text_split(text):
     """The whole-text splitter the streaming read_csv replaced, kept as the
-    reference: (comments, header, rows, numbers) of text.splitlines()."""
+    reference: (comments, header, rows, numbers) of the text's lines, each
+    ended by LF."""
     comments, header, rows, numbers = [], None, [], []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.split("\n"), 1):
         if not line:
             continue
         if line.startswith("#"):
@@ -83,19 +84,25 @@ def old_read_sweep_csv(source):
 
 
 def assert_same_doc(got, want):
-    """Equal comments and columns, and rows with the same keys in the same
-    order, the same value types and, for floats, the same bits."""
-    assert got["comments"] == want["comments"]
-    assert got["columns"] == want["columns"]
-    assert len(got["rows"]) == len(want["rows"])
-    for row, ref in zip(got["rows"], want["rows"]):
-        assert list(row) == list(ref)
-        for name, value in ref.items():
-            assert type(row[name]) is type(value), name
-            if isinstance(value, float):
-                assert struct.pack("<d", row[name]) == struct.pack("<d", value), name
-            else:
-                assert row[name] == value, name
+    """Equal reader results: dicts with the same keys in the same order, lists
+    of the same length, and values of the same types, floats and arrays with
+    the same bits."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert_same_doc(got[key], value)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for item, ref in zip(got, want):
+            assert_same_doc(item, ref)
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert got == want
 
 
 def sweep_output(capsys, argv):
@@ -191,9 +198,25 @@ def test_reader_rejects_cell_that_is_not_a_number(reader, text, line):
 
 
 def test_flow_reader_rejects_a_short_header():
-    with pytest.raises(ValidationError, match="flow header 't,V' lacks t,V,envelope"):
+    with pytest.raises(ValidationError, match="^flow header 't,V' is not t,V,envelope"):
         read_flow_csv(io.StringIO("t,V\n0.0,1.0\n"))
 
+
+@pytest.mark.parametrize("reader, header, table", [
+    (read_trace_csv, "k,residual", "trace"),
+    (read_trace_csv, "k,residual,dist_to_solution,x0", "trace"),
+    (read_compare_csv, "k,residual,dist_to_solution", "compare"),
+    (read_compare_csv, "variant,k,residual,dist", "compare"),
+    (read_flow_csv, "t,envelope,V", "flow"),
+    (read_flow_csv, "t,V,envelope,x1", "flow"),
+    (read_flow_csv, "t,V,envelope,x0,x0", "flow"),
+    (read_sweep_csv, "a,a,status", "sweep"),
+    (read_sweep_csv, "lambda,l", "sweep"),
+    (read_sweep_csv, "status,lambda", "sweep"),
+])
+def test_reader_rejects_a_header_that_is_not_its_tables(reader, header, table):
+    with pytest.raises(ValidationError, match=f"^{table} header {header!r} is not "):
+        reader(io.StringIO(f"# c\n{header}\n"))
 
 
 @pytest.mark.parametrize("reader, text, line", [
@@ -388,11 +411,17 @@ def test_a_header_only_table_keeps_its_bytes():
                                "# certificate_warning: false\nk,residual,dist_to_solution\n")
 
 
-@pytest.mark.parametrize("name", [*GOLDEN, *ITERATE_CASES])
-def test_block_writer_writes_the_golden_commands_bytes(tmp_path, capsys, monkeypatch, name):
+def golden_argv(monkeypatch, name):
+    """The argv of a command of tests/test_golden.py, GOLDEN or ITERATE_CASES."""
     if name in ITERATE_CASES:  # --problem i is the i-th default-suite problem
         monkeypatch.setattr(cli, "load_problem", suite_problem)
-    argv = ITERATE_CASES[name] if name in ITERATE_CASES else GOLDEN[name][0]
+        return ITERATE_CASES[name]
+    return GOLDEN[name][0]
+
+
+@pytest.mark.parametrize("name", [*GOLDEN, *ITERATE_CASES])
+def test_block_writer_writes_the_golden_commands_bytes(tmp_path, capsys, monkeypatch, name):
+    argv = golden_argv(monkeypatch, name)
     with mock.patch.object(csvio, "BLOCK", SMALL_BLOCK):  # to a path
         assert main([*argv, "-o", str(tmp_path / "out")]) == 0
     with whole_text_writes():  # to stdout
@@ -403,7 +432,9 @@ def test_block_writer_writes_the_golden_commands_bytes(tmp_path, capsys, monkeyp
 # ------------------------------------------------------------- streaming reader
 
 SMALL_CHUNK = 7
-BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# LF, CRLF and CR, and the other characters at which str.splitlines() breaks a
+# line, which are ordinary characters to a reader
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _texts = st.lists(st.sampled_from(BREAKS) | st.sampled_from(["a", "1.5", ",", "#", " ", "é"]),
                   max_size=40).map("".join)
 
@@ -415,21 +446,27 @@ def split_by_read_csv(source):
     return (comments, header, [row for _, row in pairs], [number for number, _ in pairs])
 
 
-def assert_lines_as_splitlines(text, path):
+def universal_newlines(text):
+    """text as a file opened with universal newlines reads: CRLF and CR as LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def assert_path_reads_as_universal_newlines(text, path):
     path.write_bytes(text.encode("utf-8"))
-    want = whole_text_split(text)
-    assert split_by_read_csv(io.StringIO(text)) == want
+    want = whole_text_split(universal_newlines(text))
     assert split_by_read_csv(path) == want
     assert split_by_read_csv(str(path)) == want
 
 
 @given(_texts, st.integers(1, 5) | st.just(csvio.CHUNK))
-def test_reader_lines_and_numbers_are_those_of_splitlines(text, chunk):
-    # the text layer of a path turns \r and \r\n into \n, a StringIO keeps
-    # them: either way, and whichever line breaks end or start a chunk of the
-    # read, the lines are those of text.splitlines()
+def test_reader_lines_and_numbers_end_at_lf(text, chunk):
+    # the text layer of a path turns CRLF and CR into LF, a StringIO keeps
+    # them: either way, and wherever a chunk of the read ends, a line ends at
+    # LF, and the other breaks of str.splitlines() (and a stream's CR) are
+    # ordinary characters
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(csvio, "CHUNK", chunk):
-        assert_lines_as_splitlines(text, Path(tmp) / "text.csv")
+        assert_path_reads_as_universal_newlines(text, Path(tmp) / "text.csv")
+        assert split_by_read_csv(io.StringIO(text)) == whole_text_split(text)
 
 
 @pytest.mark.parametrize("at", [8190, 8191, 8192, 8193, 16383])
@@ -438,8 +475,54 @@ def test_reader_joins_a_crlf_that_straddles_the_read_buffer(tmp_path, at):
     # of one, its \n at the start of the next
     head = "# c\nt,V,envelope\n"
     text = head + "9" * (at - len(head)) + "\r\n1,2,3\r\n\r\n4,5,6"
-    assert_lines_as_splitlines(text, tmp_path / "text.csv")
+    assert_path_reads_as_universal_newlines(text, tmp_path / "text.csv")
     assert split_by_read_csv(tmp_path / "text.csv")[3] == [3, 4, 6]
+
+
+# the table each command writes, and its reader
+TABLES = {"solve": ("trace", read_trace_csv), "compare": ("compare", read_compare_csv),
+          "flow": ("flow", read_flow_csv), "sweep": ("sweep", read_sweep_csv)}
+
+
+@pytest.mark.parametrize("name", [*GOLDEN, *ITERATE_CASES])
+def test_crlf_and_cr_copies_of_a_golden_output_read_as_its_lf_form(tmp_path, capsys,
+                                                                     monkeypatch, name):
+    argv = golden_argv(monkeypatch, name)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.split("\n")
+    # a row of one cell, halfway down the file but after the header
+    at = max(len(lines) // 2, 1 + next(i for i, line in enumerate(lines)
+                                       if line and not line.startswith("#")))
+    bad = [*lines[:at], "x", *lines[at:]]
+    for end_name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        (tmp_path / f"{end_name}.csv").write_bytes(end.join(lines).encode("utf-8"))
+        (tmp_path / f"bad-{end_name}.csv").write_bytes(end.join(bad).encode("utf-8"))
+    want = split_by_read_csv(io.StringIO("\n".join(lines)))
+    assert split_by_read_csv(tmp_path / "crlf.csv") == want
+    assert split_by_read_csv(tmp_path / "cr.csv") == want
+    if argv[0] not in TABLES:  # a certificate
+        return
+    reader = TABLES[argv[0]][1]
+    want = reader(tmp_path / "lf.csv")
+    assert_same_doc(reader(tmp_path / "crlf.csv"), want)
+    assert_same_doc(reader(tmp_path / "cr.csv"), want)
+    for end_name in ("lf", "crlf", "cr"):
+        with pytest.raises(ValidationError, match=f"^line {at + 1}: 1 cells where"):
+            reader(tmp_path / f"bad-{end_name}.csv")
+
+
+@pytest.mark.parametrize("name", ["solve-0-tseng", "compare-0", "flow-0-euler",
+                                  "flow-0-euler-coords", "sweep-beta"])
+def test_reader_reads_its_own_table_and_rejects_the_others(capsys, monkeypatch, name):
+    argv = golden_argv(monkeypatch, name)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    for command, (table, reader) in TABLES.items():
+        if command == argv[0]:
+            reader(io.StringIO(text))
+        else:
+            with pytest.raises(ValidationError, match=f"^{table} header '"):
+                reader(io.StringIO(text))
 
 
 @pytest.fixture

@@ -649,13 +649,26 @@ def test_descriptor_set_must_be_an_object(value, message):
             load_problem({"family": "single_set_vi", "n": 2})
 
 
+def _matrix_operator(n):
+    return {"matrix": np.eye(n).tolist()}
+
+
 @pytest.mark.parametrize("descriptor,admitted", [
     ({"family": "l2_example", "n": 8}, True),  # n-vectors
     ({"family": "l2_example", "n": 9}, False),
-    ({"family": "single_set_vi", "n": 2, "set": {"type": "box"}}, True),  # n x n matrices
-    ({"family": "single_set_vi", "n": 3, "set": {"type": "box"}}, False),
+    ({"family": "single_set_vi", "n": 8, "set": {"type": "box"}}, True),
+    ({"family": "single_set_vi", "n": 9, "set": {"type": "box"}}, False),
+    ({"family": "moving_set", "n": 8, "base_set": {"type": "box"}, "operator": {"matrix": None}},
+     True),
+    ({"family": "moving_set", "n": 9, "base_set": {"type": "box"}}, False),
+    ({"family": "affine", "n": 2}, True),  # n x n matrices
     ({"family": "affine", "n": 3}, False),
-    ({"family": "moving_set", "n": 3, "base_set": {"type": "box"}}, False),
+    ({"family": "single_set_vi", "n": 2, "set": {"type": "box"}, "operator": _matrix_operator(2)},
+     True),
+    ({"family": "single_set_vi", "n": 3, "set": {"type": "box"}, "operator": _matrix_operator(3)},
+     False),
+    ({"family": "moving_set", "n": 3, "base_set": {"type": "box"}, "operator": _matrix_operator(3)},
+     False),
 ])
 def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
     monkeypatch.setattr(problems, "MAX_DESCRIPTOR_ENTRIES", 8)
@@ -663,11 +676,17 @@ def test_descriptor_size_cap(monkeypatch, descriptor, admitted):
         assert load_problem(descriptor).dim == descriptor["n"]
         return
     for builder in ("make_l2_example", "make_affine_qvi", "moving_set", "_scaled", "AffineMap",
-                    "QviProblem"):
+                    "QviProblem", "as_array"):
         monkeypatch.setattr(problems, builder, None)  # rejected before anything is built
     n = descriptor["n"]
     with pytest.raises(ValidationError, match=f"^n = {n} gives arrays of .* the limit of 8$"):
         load_problem(descriptor)
+
+
+def test_descriptor_without_a_matrix_is_capped_at_n_entries():
+    # a box moving set holds n-vectors only: n = 10001 is not 100020001 entries
+    problem = load_problem({"family": "moving_set", "n": 10001, "base_set": {"type": "box"}})
+    assert problem.dim == 10001
 
 
 def test_descriptor_size_cap_takes_numpy_integers():
