@@ -219,7 +219,7 @@ def cmd_sweep(args) -> int:
                     outcomes[lam] = (STATUS_NUMERIC_FAILURE
                                      if trace.status == STATUS_NUMERIC_FAILURE else "ok",
                                      trace.empirical_rate)
-                except (ValidationError, NumericFailure) as exc:
+                except ValidationError as exc:
                     outcomes[lam] = (error_status(exc), None)
             status[i], rate = outcomes[lam]
             rates.append(np.nan if rate is None else rate)

@@ -5,7 +5,8 @@ monotonicity constants) to a parametric projection oracle (x, z) -> P_{K(x)}(z)
 (with a declared parametric Lipschitz constant). Everything downstream --
 residuals, the Tseng vector field, the discrete schemes -- is built from these
 two oracles through one step kernel: `forward_backward` plus `UPDATES`, and
-`step` takes one step of any variant.
+`step` takes one step of any variant. `instrumented` routes every oracle call
+of a problem through one function, to count, time or replace it.
 
 All vectors are dense 1-D float64 arrays. Problems and oracles are immutable
 after construction and safe to share across workers; every operation here is a
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -275,6 +276,22 @@ class QviProblem:
         if self.known_solution is not None:
             set_readonly(self, known_solution=as_array(self.known_solution, "known_solution",
                                                        self.dim))
+
+
+def instrumented(problem: QviProblem, around: Callable) -> QviProblem:
+    """problem with every oracle call made as around(kind, oracle, arg), which
+    returns oracle(arg) or a stand-in for it: kind "operator" is F(x),
+    "shift" is constraint.at(x), one build of K(x), and "projection" is P(z)
+    through a projector that at returned. The hook is kept, so K(x) is still
+    built once per iterate; project(x, z) makes one shift and one projection.
+    Counting, poisoning or timing the oracles are uses of it."""
+    op, con = problem.operator, problem.constraint
+
+    def at(x):
+        return partial(around, "projection", around("shift", con.at, x))
+
+    return replace(problem, operator=replace(op, func=partial(around, "operator", op.func)),
+                   constraint=ConstraintSpec(lambda x, z: at(x)(z), con.lip_l, at))
 
 
 # The public one-shot entry points raise NumericFailure for any non-finite

@@ -3,14 +3,15 @@
 These deliberately do not import the formula implementations they check: the
 certificate oracle recomputes everything in arbitrary precision with mpmath,
 and the reference step below is a separate transcription of the single-set
-scheme. Counting wrappers instrument a problem's oracles (and
-`counting_moving_box` a moving set's shift) for the work-accounting tests.
-`replay_iterates` rebuilds the iterates a solve trace does not keep, with
-the public `step`, to check its bookkeeping. `loop_alpha_integral` is the
+scheme. `replay_iterates` rebuilds the iterates a solve trace does not keep,
+with the public `step`, to check its bookkeeping. `loop_alpha_integral` is the
 piece-by-piece integral of an alpha schedule, the reference for the array
 form `AlphaSchedule.integral` computes.
-`poisoned_problem` returns a non-finite value from one chosen oracle call and
-records every argument, so a test can check that none reached an oracle.
+Two wrappers are uses of `qvisolve.core.instrumented`, which keeps a problem's
+projector hook: `counting_problem` counts oracle calls by kind (F, builds of
+K(x), projections) for the work-accounting tests, and `poisoned_problem`
+returns a non-finite value from one chosen oracle call and records every
+argument, so a test can check that none reached an oracle.
 """
 
 import math
@@ -18,8 +19,7 @@ import math
 import numpy as np
 from mpmath import mp, mpf, sqrt
 
-from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem, norm
-from qvisolve.problems import BoxSet, moving_set
+from qvisolve.core import ConstraintSpec, OperatorSpec, QviProblem, instrumented, norm
 from qvisolve import step
 
 mp.dps = 50
@@ -58,72 +58,35 @@ def rel_err(a, b) -> float:
 
 
 def counting_problem(problem: QviProblem):
-    """Clone a problem with instrumented oracles; returns (problem, counts)."""
-    counts = {"operator": 0, "projection": 0}
-    base_func = problem.operator.func
-    base_proj = problem.constraint.project
+    """problem with its oracle calls counted by kind (see `core.instrumented`);
+    returns (problem, counts)."""
+    counts = dict.fromkeys(("operator", "shift", "projection"), 0)
 
-    def func(x):
-        counts["operator"] += 1
-        return base_func(x)
+    def around(kind, oracle, arg):
+        counts[kind] += 1
+        return oracle(arg)
 
-    def proj(x, z):
-        counts["projection"] += 1
-        return base_proj(x, z)
-
-    wrapped = QviProblem(
-        operator=OperatorSpec(func, problem.operator.lipschitz_L,
-                              problem.operator.strong_rho),
-        constraint=ConstraintSpec(proj, problem.constraint.lip_l),
-        dim=problem.dim,
-        known_solution=problem.known_solution,
-        name=problem.name + "+counting",
-    )
-    return wrapped, counts
-
-
-def counting_moving_box(n: int = 4, scale: float = 0.1):
-    """The suite's moving box, F(x) = x on K(x) = scale*x + [-1, 1]^n, built
-    by `moving_set` with a counting shift and base projection; returns
-    (problem, counts)."""
-    counts = {"shift": 0, "base": 0}
-    box = BoxSet.from_bounds(n, -1.0, 1.0)
-
-    def shift(x):
-        counts["shift"] += 1
-        return scale * x
-
-    def base(z):
-        counts["base"] += 1
-        return box.project(z)
-
-    problem = QviProblem(OperatorSpec(lambda x: x, 1.0, 1.0), moving_set(shift, scale, base), n,
-                         known_solution=np.zeros(n))
-    return problem, counts
+    return instrumented(problem, around), counts
 
 
 def poisoned_problem(oracle, nth, value, dim=1, entry=0):
     """F(x) = x on K = {z >= 1}, except that the nth call of `oracle`
     ("operator" or "projection") returns `value` at coordinate `entry`; nth = 0
-    poisons nothing. Returns (problem, received): received[name] holds a copy
-    of every argument array that oracle was called with."""
-    received = {"operator": [], "projection": []}
+    poisons nothing. Returns (problem, received): received[kind] holds a copy
+    of the argument of every call of that kind (see `core.instrumented`)."""
+    received = {"operator": [], "shift": [], "projection": []}
 
-    def call(name, out, *args):
-        received[name].extend(np.array(a, dtype=float) for a in args)
-        calls = len(received[name]) // len(args)
-        if name == oracle and calls == nth:
+    def around(kind, call, arg):
+        received[kind].append(np.array(arg, dtype=float))
+        out = call(arg)
+        if kind == oracle and len(received[kind]) == nth:
             out = np.array(out, dtype=float)
             out[entry] = value
         return out
 
-    problem = QviProblem(
-        operator=OperatorSpec(lambda x: call("operator", x, x), 1.0, 1.0),
-        constraint=ConstraintSpec(
-            lambda x, z: call("projection", np.maximum(z, 1.0), x, z), 0.0),
-        dim=dim,
-    )
-    return problem, received
+    base = QviProblem(OperatorSpec(lambda x: x, 1.0, 1.0),
+                      ConstraintSpec(lambda x, z: np.maximum(z, 1.0), 0.0), dim)
+    return instrumented(base, around), received
 
 
 def assert_finite_arguments(received):

@@ -27,7 +27,7 @@ from qvisolve.problems import (AffineMap, BallSet, BoxSet, load_problem, make_af
                                make_l2_example, make_moving_box_problem, moving_set)
 from qvisolve.solvers import SolverConfig
 
-from oracles import assert_finite_arguments, counting_moving_box, poisoned_problem
+from oracles import assert_finite_arguments, counting_problem, poisoned_problem
 
 
 # ---------------------------------------------------------------- validation
@@ -380,10 +380,11 @@ def test_one_shot_entry_points_reject_non_finite_oracle_output(name, oracle, nth
 @pytest.mark.parametrize("name", list(ONE_SHOT))
 def test_one_shot_entry_points_build_a_moving_set_once(name):
     # every projection at x goes through one projector, so one shift call
-    call, _, n_projection = ONE_SHOT[name]
-    problem, counts = counting_moving_box()
+    call, n_operator, n_projection = ONE_SHOT[name]
+    problem, counts = counting_problem(make_moving_box_problem())
     call(problem, np.array([0.5, -2.0, 3.0, 0.0]))
-    assert counts == {"shift": min(n_projection, 1), "base": n_projection}
+    assert counts == {"operator": n_operator, "shift": min(n_projection, 1),
+                      "projection": n_projection}
 
 
 # ---------------------------------------------------------------- projection
@@ -477,10 +478,9 @@ def test_tseng_map_dimension_mismatch(l2_problem):
 
 
 def test_tseng_map_oracle_call_counts(l2_problem):
-    from oracles import counting_problem
     wrapped, counts = counting_problem(l2_problem)
     tseng_map(wrapped, np.ones(50), 0.1)
-    assert counts == {"operator": 2, "projection": 1}
+    assert counts == {"operator": 2, "shift": 1, "projection": 1}
 
 
 # ------------------------------------------------- sampled inequality suites

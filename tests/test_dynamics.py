@@ -30,7 +30,6 @@ from qvisolve.csvio import flow_to_csv, read_flow_csv
 
 from oracles import (
     assert_finite_arguments,
-    counting_moving_box,
     counting_problem,
     loop_alpha_integral,
     poisoned_problem,
@@ -281,7 +280,7 @@ def test_overflowing_gamma_fails_before_any_oracle_call(halfline, run):
         OperatorSpec(halfline.operator.func, 1e300, 1e-300), halfline.constraint, dim=1))
     with pytest.raises(ValidationError, match="^gamma must be >= 1 and finite, got inf$"):
         run(problem)
-    assert counts == {"operator": 0, "projection": 0}
+    assert counts == {"operator": 0, "shift": 0, "projection": 0}
 
 
 def test_alpha_zero_freezes_the_flow(halfline):
@@ -321,10 +320,30 @@ def test_large_step_flow_still_diverges(problem_suite, scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_flow_evaluates_the_shift_once_per_field_evaluation(scheme):
-    problem, counts = counting_moving_box()
+    problem, counts = counting_problem(make_moving_box_problem())
     integrate(problem, np.full(4, 0.5), FlowConfig(lam=0.1, h=0.1, t_end=1.0, scheme=scheme))
     evaluations = 10 * CALLS_PER_STEP[scheme][1]
-    assert counts == {"shift": evaluations, "base": evaluations}
+    assert counts == {"operator": 2 * evaluations, "shift": evaluations,
+                      "projection": evaluations}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_instrumented_flow_keeps_the_bytes(problem_suite, scheme, tmp_path):
+    # a pass-through hook (core.instrumented) writes the unwrapped flow's CSV,
+    # states included, and each field evaluation costs 2 F, 1 shift and 1 P
+    config = FlowConfig(lam=0.1, h=0.1, t_end=2.0, scheme=scheme)
+    evaluations = 20 * CALLS_PER_STEP[scheme][1]
+    for problem in problem_suite:
+        x0 = problem.known_solution + 0.5
+        wrapped, counts = counting_problem(problem)
+        trace = integrate(wrapped, x0, config, keep_states=True)
+        assert trace.status == "completed", problem.name
+        flow_to_csv(trace, tmp_path / "wrapped.csv")
+        flow_to_csv(integrate(problem, x0, config, keep_states=True), tmp_path / "plain.csv")
+        wrapped_bytes = (tmp_path / "wrapped.csv").read_bytes()
+        assert wrapped_bytes == (tmp_path / "plain.csv").read_bytes(), problem.name
+        assert counts == {"operator": 2 * evaluations, "shift": evaluations,
+                          "projection": evaluations}, problem.name
 
 
 @pytest.mark.parametrize("h,t_end,lam", [(0.1, 3.0, 0.1), (1e-3, 1.0, 0.1),

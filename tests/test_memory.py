@@ -2,7 +2,7 @@
 iterate and `integrate` only its endpoint unless asked for every state; a
 flow's t, V and envelope are float64 series of one entry per step. The
 affine builder drops each n x n temporary once it has used it, and a
-descriptor problem without a matrix builds none.
+descriptor problem without a matrix builds none: it loads in memory linear in n.
 
 CSV writers and readers do not hold a file's text: a writer holds its cell
 texts and one block of rows, and a reader its rows as it parses them.
@@ -118,13 +118,20 @@ def test_affine_build_memory_is_bounded():
 
 
 
-# descriptors with no matrix, whose oracles are elementwise, by dimension n
+# descriptors with no n x n array, whose oracles are elementwise, by dimension
+# n; their vectors are lists, as JSON gives them
 MATRIX_FREE = {
+    "l2_example": lambda n: {"family": "l2_example", "n": n},
     "moving_set": lambda n: {"family": "moving_set", "n": n, "shift_scale": 0.1,
+                             "shift_offset": np.linspace(-1.0, 1.0, n).tolist(),
                              "base_set": {"type": "box", "lo": -1.0, "hi": 1.0}},
+    "moving_set-ball": lambda n: {"family": "moving_set", "n": n, "shift_scale": 0.1,
+                                  "shift_offset": np.linspace(-1.0, 1.0, n).tolist(),
+                                  "base_set": {"type": "ball", "radius": 2.0}},
     "single_set_vi-identity": lambda n: {"family": "single_set_vi", "n": n,
                                          "operator": "identity",
-                                         "set": {"type": "ball", "radius": 2.0}},
+                                         "set": {"type": "ball", "radius": 2.0},
+                                         "known_solution": [0.0] * n},
     "offset-only-operator": lambda n: {"family": "single_set_vi", "n": n,
                                        "operator": {"offset": np.linspace(-1.0, 1.0, n).tolist()},
                                        "set": {"type": "box", "lo": 0.0}},
@@ -133,13 +140,18 @@ MATRIX_FREE = {
 
 @pytest.mark.parametrize("case", list(MATRIX_FREE))
 def test_matrix_free_descriptor_load_memory_is_linear(case):
-    # an n x n identity standing in for x -> scale*x + offset takes 1 n^2 floats
-    n = 1000
+    # a few float vectors and their temporaries: 16 to 48 B per entry, the
+    # same at 1e4 and at 1e5 entries. An n x n identity standing in for
+    # x -> scale*x + offset would take 8n B per entry
     load_problem(MATRIX_FREE[case](2))  # lazy imports
-    doc = MATRIX_FREE[case](n)
-    peak, problem = peak_bytes(lambda: load_problem(doc))
-    assert problem.dim == n
-    assert peak < 0.1 * 8 * n * n, f"{peak / (8 * n * n):.2f} n^2 floats"
+    per_entry = {}
+    for n in (10_000, N):
+        doc = MATRIX_FREE[case](n)
+        peak, problem = peak_bytes(lambda: load_problem(doc))
+        assert problem.dim == n
+        per_entry[n] = peak / n
+    assert per_entry[N] < 64, f"{per_entry[N]:.1f} B per entry at n = {N}"
+    assert abs(per_entry[N] - per_entry[10_000]) <= 0.1 * per_entry[10_000], per_entry
 
 
 def flow_trace(steps):

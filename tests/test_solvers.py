@@ -29,7 +29,6 @@ from qvisolve.csvio import read_trace_csv, trace_to_csv
 
 from oracles import (
     assert_finite_arguments,
-    counting_moving_box,
     counting_problem,
     poisoned_problem,
     reference_single_set_fbf_step,
@@ -134,19 +133,40 @@ def test_moving_set_shift_is_evaluated_once_per_iterate(variant):
     x0 = np.full(4, 0.5)
     config = SolverConfig(lam=0.1, max_iter=k, tol=1e-30, variant=variant)
     n_operator, n_projection = CALLS_PER_STEP[variant]
-    problem, counts = counting_moving_box()
+    problem, counts = counting_problem(make_moving_box_problem())
     trace = solve(problem, x0, config)
     assert len(trace.records) == k + 1
-    assert counts == {"shift": k + 1, "base": n_projection * k + 1}
+    calls = {"operator": n_operator * k + 1, "projection": n_projection * k + 1}
+    assert counts == {**calls, "shift": k + 1}
     # wrapping project(x, z) in a plain ConstraintSpec, as the benchmark's
     # traced accounting does, builds K(x) per projection and keeps the bits
-    counts.update(shift=0, base=0)
-    wrapped, calls = counting_problem(problem)
-    wrapped_trace = solve(wrapped, x0, config)
-    assert calls == {"operator": n_operator * k + 1, "projection": n_projection * k + 1}
-    assert counts == {"shift": n_projection * k + 1, "base": n_projection * k + 1}
-    assert [r.residual for r in wrapped_trace.records] == [r.residual for r in trace.records]
-    assert np.array_equal(wrapped_trace.final.x, trace.final.x)
+    counts.update(operator=0, shift=0, projection=0)
+    constraint = ConstraintSpec(problem.constraint.project, problem.constraint.lip_l)
+    plain = QviProblem(problem.operator, constraint, problem.dim, problem.known_solution)
+    plain_trace = solve(plain, x0, config)
+    assert counts == {**calls, "shift": n_projection * k + 1}
+    assert [r.residual for r in plain_trace.records] == [r.residual for r in trace.records]
+    assert np.array_equal(plain_trace.final.x, trace.final.x)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_instrumented_solve_keeps_the_bytes(problem_suite, variant, tmp_path):
+    # a pass-through hook (core.instrumented) writes the unwrapped solve's
+    # trace CSV, and counts the variant's calls per step with K(x) built once
+    config = SolverConfig(lam=0.1, max_iter=40, tol=1e-8, variant=variant)
+    n_operator, n_projection = CALLS_PER_STEP[variant]
+    for problem in problem_suite:
+        x0 = problem.known_solution + 0.5
+        wrapped, counts = counting_problem(problem)
+        trace = solve(wrapped, x0, config)
+        trace_to_csv(trace, tmp_path / "wrapped.csv")
+        trace_to_csv(solve(problem, x0, config), tmp_path / "plain.csv")
+        wrapped_bytes = (tmp_path / "wrapped.csv").read_bytes()
+        assert wrapped_bytes == (tmp_path / "plain.csv").read_bytes(), problem.name
+        K = len(trace.records) - 1
+        assert K > 0, problem.name
+        assert counts == {"operator": n_operator * K + 1, "shift": K + 1,
+                          "projection": n_projection * K + 1}, problem.name
 
 
 def test_scheme_equivalence_single_set(halfline):
