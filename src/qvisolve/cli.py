@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .certify import ProblemConstants, certificate_table, constant_errors, full_certificate
-from .core import STATUS_NUMERIC_FAILURE, VARIANTS, NumericFailure, ValidationError, as_array
+from .core import STATUS_NUMERIC_FAILURE, VARIANTS, ValidationError, as_array
 from .csvio import (certificate_to_csv, compare_to_csv, error_status, flow_to_csv,
                     sweep_to_csv, trace_to_csv, write_lines)
 from .csvio import read_sweep_csv  # noqa: F401  (bench/workloads.py imports it from here)
@@ -256,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="problem descriptor: JSON file path or inline JSON")
         p.add_argument("--x0", required=True,
                        help="'zeros', 'geometric', or comma-separated floats")
+        p.add_argument("--lambda", dest="lam", type=float, required=True)
 
     def add_solver_args(p, variant=True):
         p.add_argument("--tol", type=float, default=SolverConfig.tol)
@@ -265,14 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one discrete solve and dump the trace")
     add_problem_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     add_solver_args(p)
     add_output(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("flow", help="integrate the continuous-time system")
     add_problem_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--h", type=float, required=True, help="time step")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--scheme", choices=SCHEMES, default=FlowConfig.scheme)
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several variants on one problem")
     add_problem_args(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--variants", default=",".join(VARIANTS))
     add_solver_args(p, variant=False)
     add_output(p)
@@ -344,9 +342,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, OSError) as exc:  # OSError: an --output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericFailure as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -49,6 +49,12 @@ MAX_FLOW_STEPS = 10_000_000
 #: the most entries the states of a flow integrated with keep_states may
 #: hold: 800 MB of float64
 MAX_STATE_ENTRIES = 100_000_000
+#: V is reduced by one einsum per block of at most this many elements: then
+#: each row rounds as a one-row einsum does, and as an einsum over every state
+#: at once does when n <= EINSUM_BLOCK. Above that, einsum sums a row in
+#: EINSUM_BLOCK-element buffers whose split depends on the number of rows, and
+#: a block is one row
+EINSUM_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -150,44 +156,6 @@ class FlowTrace:
     keep_states: bool
 
 
-class _Lyapunov:
-    """V = 0.5*||x - x*||^2 along a trajectory. The differences x - x* are
-    buffered and reduced by one einsum per block of rows, a block holding at
-    most EINSUM_BLOCK elements: then each row rounds as a one-row einsum does,
-    and as an einsum over every state at once does when n <= EINSUM_BLOCK.
-    Above that, einsum sums a row in EINSUM_BLOCK-element buffers whose split
-    depends on the number of rows, and a block is one row. V is written into
-    an array of the most rows the trajectory can have."""
-
-    EINSUM_BLOCK = 8192
-
-    def __init__(self, xstar: Array, rows: int):
-        n = xstar.shape[0]
-        self.xstar = xstar
-        self.diffs = np.empty((max(1, self.EINSUM_BLOCK // n), n))
-        self.filled = 0
-        self.V = np.empty(rows)
-        self.done = 0  # rows of V written
-
-    def add(self, x: Array) -> None:
-        np.subtract(x, self.xstar, out=self.diffs[self.filled])
-        self.filled += 1
-        if self.filled == len(self.diffs):
-            self._reduce()
-
-    def _reduce(self) -> None:
-        d = self.diffs[:self.filled]
-        self.V[self.done:self.done + self.filled] = 0.5 * np.einsum("ij,ij->i", d, d)
-        self.done += self.filled
-        self.filled = 0
-
-    def values(self) -> Array:
-        """V of every row added; a copy when the trajectory stopped early, so
-        that the unused rows are freed."""
-        self._reduce()
-        return self.V if self.done == len(self.V) else self.V[:self.done].copy()
-
-
 @ignore_overflow
 def integrate(problem: QviProblem, x0, config: FlowConfig,
               keep_states: bool = False) -> FlowTrace:
@@ -201,6 +169,9 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
 
     The trace keeps every state only with keep_states (its CSV then writes
     them); otherwise memory stays a few n-vectors plus the scalar series.
+    V = 0.5*||x - x*||^2 is reduced by one einsum per block of rows of at most
+    EINSUM_BLOCK elements, so that each value has the bits of a one-row einsum
+    of its own state, whatever the flow's length or where it stopped.
     """
     x = as_array(x0, "x0", problem.dim).copy()
     h, lam, alpha, nsteps = config.h, config.lam, config.alpha, config.steps
@@ -220,13 +191,23 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
         return f(t, require_finite(xv, "RK4 stage state"))
 
     states = np.empty((nsteps + 1, problem.dim)) if keep_states else None
-    lyapunov = _Lyapunov(xstar, nsteps + 1) if xstar is not None else None
+    # V of every row the flow can have; rows of x - x* wait in diffs for their block
+    V = None if xstar is None else np.empty(nsteps + 1)
+    block = max(1, EINSUM_BLOCK // problem.dim)
+    diffs = None if xstar is None else np.empty((block, problem.dim))
+
+    def reduce(i):  # V of the block that ends at row i
+        d = diffs[:i % block + 1]
+        V[i - i % block:i + 1] = 0.5 * np.einsum("ij,ij->i", d, d)
 
     def record(i, xv):
         if keep_states:
             states[i] = xv
-        if lyapunov is not None:
-            lyapunov.add(xv)
+        if V is not None:
+            j = i % block
+            np.subtract(xv, xstar, out=diffs[j])
+            if j == block - 1:
+                reduce(i)
 
     record(0, x)
     done = 0  # steps taken
@@ -251,9 +232,11 @@ def integrate(problem: QviProblem, x0, config: FlowConfig,
     # t_i = i*h, one multiply of an exact integer, as the loop's t is
     tarr = np.arange(done + 1) * h
     xarr = states[:done + 1] if keep_states else x[None]
-    V = envelope = None
-    if lyapunov is not None:
-        V = lyapunov.values()
+    envelope = None
+    if V is not None:
+        reduce(done)  # the last block (again, to the same bits, if it was full)
+        if done < nsteps:  # a copy, so that the unused rows are freed
+            V = V[:done + 1].copy()
         scaled_time = tarr if alpha is None else alpha.integral(tarr)
         # with a positive exponent the bound can overflow to inf, which is the
         # honest value of the envelope there (NaN where V[0] = 0); the exponent

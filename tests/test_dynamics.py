@@ -408,18 +408,26 @@ def test_states_kept_only_on_request(l2_problem, geometric_x0):
     assert np.array_equal(endpoint.t, full.t) and np.array_equal(endpoint.V, full.V)
 
 
-@pytest.mark.parametrize("n,steps", [(50, 400), (3000, 7), (9000, 3)])
-def test_lyapunov_blocks_round_as_single_rows(n, steps):
+@pytest.mark.parametrize("n,steps,early", [(50, 400, False), (3000, 7, False), (9000, 3, False),
+                                           (50, 6, True), (3000, 6, True)])
+def test_lyapunov_blocks_round_as_single_rows(n, steps, early):
     # V is reduced in einsum blocks of at most 8192 elements (163 rows at
     # n = 50, 2 at n = 3000, 1 above 8192); each value has the bits of a
-    # one-row einsum of its own state, whatever block it fell in
+    # one-row einsum of its own state, whatever block it fell in. An early
+    # flow diverges after 7 states, part-way through a block; keeping the
+    # states changes no bit of V
     problem = make_l2_example(n)
-    trace = integrate(problem, np.full(n, 1.0 / np.sqrt(n)),
-                      FlowConfig(lam=0.1, h=0.01, t_end=0.01 * steps), keep_states=True)
-    assert len(trace.t) == steps + 1
+    if early:
+        x0, config = problem.known_solution + 0.7, FlowConfig(lam=50.0, h=0.5, t_end=10.0)
+    else:
+        x0, config = np.full(n, 1.0 / np.sqrt(n)), FlowConfig(lam=0.1, h=0.01, t_end=0.01 * steps)
+    trace = integrate(problem, x0, config, keep_states=True)
+    assert trace.status == ("numeric_failure" if early else "completed")
+    assert len(trace.t) == len(trace.V) == steps + 1
     for x, v in zip(trace.x, trace.V):
         d = (x - problem.known_solution)[None]
         assert v == 0.5 * np.einsum("ij,ij->i", d, d)[0]
+    assert integrate(problem, x0, config).V.tobytes() == trace.V.tobytes()
 
 
 def test_flow_trace_invariants(l2_problem, geometric_x0):
